@@ -20,11 +20,9 @@ from .ahp import (
 )
 from .dataset import (
     CANONICAL_CATEGORY_NAMES,
-    RatingCategory,
     ReviewMatrix,
     ScoreVector,
     category_means,
-    classify_rating,
     load_reviews,
     normalize,
 )
@@ -48,7 +46,6 @@ from .fuzzy import (
     fuzzy_weights,
     saaty_to_tfn,
     synthetic_extents,
-    tfn_add,
     tfn_inverse,
 )
 from .ranking import (
@@ -78,7 +75,6 @@ __all__ = [
     "RANDOM_INDEX",
     "RankEntry",
     "RankingReport",
-    "RatingCategory",
     "RatingRangeError",
     "ReviewMatrix",
     "ScoreFloorWarning",
@@ -90,7 +86,6 @@ __all__ = [
     "build_fuzzy_pairwise",
     "build_pairwise",
     "category_means",
-    "classify_rating",
     "compare_methods",
     "consistency_index",
     "consistency_ratio",
@@ -106,6 +101,5 @@ __all__ = [
     "rank",
     "saaty_to_tfn",
     "synthetic_extents",
-    "tfn_add",
     "tfn_inverse",
 ]

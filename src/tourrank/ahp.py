@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import ScoreVector
+from .dataset import ScoreVector, _readonly
 from .errors import ClampWarning, ConvergenceError, InputError, ScoreFloorWarning
 
 SAATY_MIN = 1.0 / 9.0
@@ -27,12 +27,6 @@ DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 1000
 
 _RECIPROCITY_TOL = 1e-9
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=float)
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True)

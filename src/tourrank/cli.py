@@ -1,7 +1,15 @@
 """Command-line front end: rank, validate, export-plotdata.
 
-Exit codes: 0 success, 1 input or parse error, 2 consistency-gate failure.
-Warnings and errors go to stderr; data stays on stdout.
+Every subcommand is one pass: load the names config and the ratings CSV,
+compute, render. ``rank`` prints the method reports as a table, JSON or
+CSV; ``export-plotdata`` is ``rank --format csv`` with the columns
+method, alternative, weight, rank; ``validate`` prints the consistency
+diagnostics of the comparison matrix behind the data.
+
+Exit codes: 0 success, 1 input or parse error (a missing, unreadable or
+non-UTF-8 file, a malformed CSV, a ``--cr-threshold`` that is not a
+positive finite number), 2 consistency-gate failure. Warnings and errors
+go to stderr, one line each; data stays on stdout.
 """
 
 from __future__ import annotations
@@ -10,39 +18,23 @@ import argparse
 import contextlib
 import csv
 import json
+import math
 import sys
 import warnings
-from dataclasses import dataclass
 from typing import Sequence
 
-from .ahp import build_pairwise, evaluate_consistency
-from .dataset import ScoreVector, category_means, load_reviews, normalize
+from .ahp import ConsistencyReport, build_pairwise, evaluate_consistency
+from .dataset import load_reviews
 from .errors import ConvergenceError, InputError
-from .ranking import METHODS, RankingReport, compare_methods
+from .ranking import METHODS, RankingReport, compare_methods, method_scores
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_INCONSISTENT = 2
 
-
-@dataclass
-class RunConfig:
-    input_path: str
-    method: str = "all"
-    delimiter: str = ","
-    normalize: bool = True
-    score_mode: str = "weight"
-    cr_threshold: float = 0.1
-    output_format: str = "table"
-    names_config: str | None = None
-
-    def __post_init__(self):
-        if not self.input_path:
-            raise InputError("input path must be non-empty")
-        if self.cr_threshold <= 0:
-            raise InputError("cr-threshold must be positive")
-        if len(self.delimiter) != 1:
-            raise InputError("delimiter must be a single character")
+#: CSV columns of ``rank --format csv`` and of ``export-plotdata``.
+_RANK_COLUMNS = ("method", "rank", "alternative", "weight", "raw_score")
+_PLOT_COLUMNS = ("method", "alternative", "weight", "rank")
 
 
 def load_names_config(path: str) -> dict[int, str]:
@@ -80,18 +72,6 @@ def _warnings_to_stderr():
         finally:
             for w in caught:
                 print(f"warning: {w.message}", file=sys.stderr)
-
-
-def _load(config: RunConfig):
-    names = load_names_config(config.names_config) if config.names_config else None
-    with open(config.input_path, newline="", encoding="utf-8") as fh:
-        return load_reviews(fh, delimiter=config.delimiter, names=names)
-
-
-def _methods(flag: str) -> tuple[str, ...]:
-    if flag == "all":
-        return METHODS
-    return (flag.replace("-", "_"),)
 
 
 def _format_table(report: RankingReport) -> str:
@@ -143,23 +123,19 @@ def _report_dict(report: RankingReport) -> dict:
     }
 
 
-def _render_reports(reports: list[RankingReport], output_format: str) -> None:
-    if output_format == "table":
-        print("\n\n".join(_format_table(r) for r in reports))
-    elif output_format == "json":
-        payload = [_report_dict(r) for r in reports]
-        print(json.dumps(payload[0] if len(payload) == 1 else payload, indent=2))
-    elif output_format == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["method", "rank", "alternative", "weight", "raw_score"])
-        for r in reports:
-            for e in r.entries:
-                writer.writerow(
-                    [r.method, e.rank, e.name, f"{e.weight:.6f}",
-                     "" if e.raw_score is None else f"{e.raw_score:.6f}"]
-                )
-    else:
-        raise InputError(f"unknown output format {output_format!r}")
+def _write_csv(reports: list[RankingReport], columns: tuple[str, ...]) -> None:
+    writer = csv.writer(sys.stdout, lineterminator="\n")
+    writer.writerow(columns)
+    for r in reports:
+        for e in r.entries:
+            cells = {
+                "method": r.method,
+                "rank": e.rank,
+                "alternative": e.name,
+                "weight": f"{e.weight:.6f}",
+                "raw_score": "" if e.raw_score is None else f"{e.raw_score:.6f}",
+            }
+            writer.writerow([cells[c] for c in columns])
 
 
 def _gate(reports: list[RankingReport]) -> int:
@@ -175,54 +151,11 @@ def _gate(reports: list[RankingReport]) -> int:
     return EXIT_OK
 
 
-def cmd_rank(config: RunConfig) -> int:
-    """Rank alternatives with the requested method(s) and print the reports."""
-    try:
-        with _warnings_to_stderr():
-            data = _load(config)
-            reports = compare_methods(
-                data,
-                methods=_methods(config.method),
-                score_mode=config.score_mode,
-                normalize_scores=config.normalize,
-                cr_threshold=config.cr_threshold,
-            )
-    except OSError as exc:
-        # str(exc) names the offending file (input or names config)
-        print(f"error: cannot read input: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (InputError, ConvergenceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    _render_reports(reports, config.output_format)
-    return _gate(reports)
-
-
-def cmd_validate(config: RunConfig) -> int:
-    """Print consistency diagnostics for the comparison matrix behind the data."""
-    try:
-        with _warnings_to_stderr():
-            data = _load(config)
-            means = category_means(data)
-            scores = (
-                ScoreVector(means.alternatives, normalize(means.scores))
-                if config.normalize
-                else means
-            )
-            _, report = evaluate_consistency(
-                build_pairwise(scores), threshold=config.cr_threshold
-            )
-    except OSError as exc:
-        # str(exc) names the offending file (input or names config)
-        print(f"error: cannot read input: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (InputError, ConvergenceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+def _print_validation(report: ConsistencyReport, threshold: float) -> int:
     verdict = (
-        f"PASS (CR <= {config.cr_threshold:g})"
+        f"PASS (CR <= {threshold:g})"
         if report.consistent
-        else f"FAIL (CR > {config.cr_threshold:g})"
+        else f"FAIL (CR > {threshold:g})"
     )
     print(f"n           {report.n}")
     print(f"lambda_max  {report.lambda_max:.6f}")
@@ -233,30 +166,52 @@ def cmd_validate(config: RunConfig) -> int:
     return EXIT_OK if report.consistent else EXIT_INCONSISTENT
 
 
-def cmd_export_plotdata(config: RunConfig) -> int:
-    """Emit long-format CSV (method, alternative, weight, rank) for plotting."""
+def _run(args: argparse.Namespace) -> int:
+    """Load the input, compute and render one subcommand; return its exit code."""
+    methods = METHODS if args.method == "all" else (args.method.replace("-", "_"),)
+    source = args.names_config  # the file being read, named if it is not UTF-8
     try:
         with _warnings_to_stderr():
-            data = _load(config)
-            reports = compare_methods(
-                data,
-                methods=_methods(config.method),
-                score_mode=config.score_mode,
-                normalize_scores=config.normalize,
-                cr_threshold=config.cr_threshold,
-            )
+            names = load_names_config(source) if source else None
+            source = args.input
+            with open(source, newline="", encoding="utf-8") as fh:
+                data = load_reviews(fh, delimiter=args.delimiter, names=names)
+            if args.command == "validate":
+                _, scores = method_scores(data, args.normalize)
+                _, report = evaluate_consistency(
+                    build_pairwise(scores), threshold=args.cr_threshold
+                )
+            else:
+                reports = compare_methods(
+                    data,
+                    methods=methods,
+                    score_mode=args.score_mode,
+                    normalize_scores=args.normalize,
+                    cr_threshold=args.cr_threshold,
+                )
     except OSError as exc:
         # str(exc) names the offending file (input or names config)
         print(f"error: cannot read input: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except UnicodeDecodeError as exc:
+        print(
+            f"error: cannot read input: {source}: not UTF-8 text ({exc.reason})",
+            file=sys.stderr,
+        )
+        return EXIT_INPUT
     except (InputError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(["method", "alternative", "weight", "rank"])
-    for r in reports:
-        for e in r.entries:
-            writer.writerow([r.method, e.name, f"{e.weight:.6f}", e.rank])
+
+    if args.command == "validate":
+        return _print_validation(report, args.cr_threshold)
+    if args.format == "table":
+        print("\n\n".join(_format_table(r) for r in reports))
+    elif args.format == "json":
+        payload = [_report_dict(r) for r in reports]
+        print(json.dumps(payload[0] if len(payload) == 1 else payload, indent=2))
+    else:
+        _write_csv(reports, args.columns)
     return _gate(reports)
 
 
@@ -320,38 +275,34 @@ def _build_parser() -> argparse.ArgumentParser:
         default="table",
         help="output format (default: table)",
     )
-    p_rank.set_defaults(func=cmd_rank)
+    p_rank.set_defaults(columns=_RANK_COLUMNS)
 
     p_val = sub.add_parser("validate", help="check pairwise-matrix consistency")
     _add_common(p_val)
-    p_val.set_defaults(func=cmd_validate)
 
     p_plot = sub.add_parser(
         "export-plotdata", help="emit long-format CSV of weights and ranks"
     )
     _add_common(p_plot)
-    p_plot.set_defaults(func=cmd_export_plotdata)
+    p_plot.set_defaults(format="csv", columns=_PLOT_COLUMNS)
 
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    try:
-        config = RunConfig(
-            input_path=args.input,
-            method=args.method,
-            delimiter=args.delimiter,
-            normalize=args.normalize,
-            score_mode=args.score_mode,
-            cr_threshold=args.cr_threshold,
-            output_format=getattr(args, "format", "table"),
-            names_config=args.names_config,
-        )
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    return args.func(config)
+    if not args.input:
+        problem = "input path must be non-empty"
+    elif args.cr_threshold <= 0:
+        problem = "cr-threshold must be positive"
+    elif not math.isfinite(args.cr_threshold):
+        problem = "cr-threshold must be finite"
+    elif len(args.delimiter) != 1:
+        problem = "delimiter must be a single character"
+    else:
+        return _run(args)
+    print(f"error: {problem}", file=sys.stderr)
+    return EXIT_INPUT
 
 
 if __name__ == "__main__":

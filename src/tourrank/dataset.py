@@ -1,4 +1,4 @@
-"""Review-matrix ingestion, rating categories, means, and SAW normalization."""
+"""Review-matrix ingestion, means, and SAW normalization."""
 
 from __future__ import annotations
 
@@ -6,8 +6,7 @@ import csv
 import re
 import warnings
 from dataclasses import dataclass
-from enum import Enum
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -39,35 +38,6 @@ CANONICAL_CATEGORY_NAMES = (
 )
 
 _GENERIC_HEADER = re.compile(r"^category\s*\d+$", re.IGNORECASE)
-
-
-class RatingCategory(Enum):
-    """Rating bands: {0}, (0,1], (1,2], (2,3], (3,4]."""
-
-    TERRIBLE = "Terrible"
-    POOR = "Poor"
-    AVERAGE = "Average"
-    VERY_GOOD = "Very Good"
-    EXCELLENT = "Excellent"
-
-
-def classify_rating(value: float) -> RatingCategory:
-    """Map a rating in [0, 4] to its band.
-
-    0 is Terrible; the remaining bands are the half-open intervals
-    (0,1], (1,2], (2,3], (3,4].
-    """
-    if not np.isfinite(value) or value < RATING_MIN or value > RATING_MAX:
-        raise RatingRangeError(f"rating {value!r} outside [{RATING_MIN}, {RATING_MAX}]")
-    if value == 0:
-        return RatingCategory.TERRIBLE
-    if value <= 1:
-        return RatingCategory.POOR
-    if value <= 2:
-        return RatingCategory.AVERAGE
-    if value <= 3:
-        return RatingCategory.VERY_GOOD
-    return RatingCategory.EXCELLENT
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -160,15 +130,15 @@ def load_reviews(
 
     Raises:
         StructureError: header missing, fewer than 2 rating columns,
-            ragged rows, or no data rows.
+            ragged rows, no data rows, or a row the CSV reader rejects
+            (such as a field over its size limit).
         ParseError: non-numeric cell, with its 1-based row/column.
         RatingRangeError: rating outside [0, 4].
     """
-    reader = csv.reader(source, delimiter=delimiter)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise StructureError("empty input: expected a header row") from None
+    records = _records(csv.reader(source, delimiter=delimiter))
+    header = next(records, None)
+    if header is None:
+        raise StructureError("empty input: expected a header row")
     n_cols = len(header)
     if n_cols < 3:
         raise StructureError(
@@ -177,7 +147,7 @@ def load_reviews(
         )
 
     rows: list[list[float]] = []
-    for row_no, row in enumerate(reader, start=2):
+    for row_no, row in enumerate(records, start=2):
         if not row:
             continue
         if len(row) != n_cols:
@@ -211,6 +181,20 @@ def load_reviews(
 
     values = np.asarray(rows, dtype=float).T
     return ReviewMatrix(_resolve_names(header[1:], names), values)
+
+
+def _records(reader) -> Iterator[list[str]]:
+    """The reader's rows, with a CSV format error turned into StructureError."""
+    row_no = 1
+    while True:
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise StructureError(f"row {row_no}: {exc}") from None
+        yield row
+        row_no += 1
 
 
 def _resolve_names(

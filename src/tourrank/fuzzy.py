@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ahp import PairwiseMatrix, WeightVector
+from .dataset import _readonly
 from .errors import InputError, UniformFallbackWarning
 
 
@@ -54,17 +55,6 @@ def tfn_inverse(t: Tfn) -> Tfn:
     if t.l <= 0:
         raise InputError(f"cannot invert TFN with l <= 0: {t}")
     return Tfn(1.0 / t.u, 1.0 / t.m, 1.0 / t.l)
-
-
-def tfn_add(a: Tfn, b: Tfn) -> Tfn:
-    """Componentwise sum."""
-    return Tfn(a.l + b.l, a.m + b.m, a.u + b.u)
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=float)
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True)

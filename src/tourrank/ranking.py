@@ -84,6 +84,21 @@ def mse(f: Sequence[float], y: Sequence[float]) -> float:
     return float(np.mean((fa - ya) ** 2))
 
 
+def method_scores(
+    data: ReviewMatrix, normalize_scores: bool = True
+) -> tuple[ScoreVector, ScoreVector]:
+    """The per-alternative mean ratings and the scores every method weights.
+
+    The scores are the means, SAW-normalized unless ``normalize_scores`` is
+    off. The consistency check of the CLI's ``validate`` goes through this
+    step too, so it judges the matrix the methods are built from.
+    """
+    means = category_means(data)
+    if not normalize_scores:
+        return means, means
+    return means, ScoreVector(means.alternatives, normalize(means.scores))
+
+
 def compare_methods(
     data: ReviewMatrix,
     *,
@@ -117,15 +132,9 @@ def compare_methods(
     if not wanted:
         raise InputError("no methods requested")
 
-    means = category_means(data)
-    raw = means.scores
-
-    norm_means = None
-    if normalize_scores or score_mode == "weight-times-mean":
-        norm_means = normalize(raw)
-    scores = (
-        ScoreVector(means.alternatives, norm_means) if normalize_scores else means
-    )
+    means, scores = method_scores(data, normalize_scores)
+    if score_mode == "weight-times-mean":
+        norm_means = scores.scores if normalize_scores else normalize(means.scores)
 
     def finalize(wv: WeightVector) -> WeightVector:
         if score_mode == "weight":
@@ -157,7 +166,7 @@ def compare_methods(
         reports.append(
             RankingReport(
                 method=method,
-                entries=rank(wv, raw_scores=raw),
+                entries=rank(wv, raw_scores=means.scores),
                 consistency=consistency if method in ("ahp", "fuzzy_ahp") else None,
                 mse_vs_manual=mse(wv.w, baseline.w),
             )

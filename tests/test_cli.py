@@ -172,10 +172,12 @@ class TestRankCommand:
         assert code == 0
         assert "0.7500" in out
 
-    def test_invalid_cr_threshold(self, capsys, two_equal_csv):
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf", "-inf"])
+    def test_invalid_cr_threshold(self, capsys, two_equal_csv, value):
+        # the "=" form keeps argparse from taking "-inf" for an option
         code, _, err = run_cli(
             capsys,
-            "rank", "--input", str(two_equal_csv), "--cr-threshold", "-1",
+            "rank", "--input", str(two_equal_csv), f"--cr-threshold={value}",
         )
         assert code == 1
         assert "cr-threshold" in err
@@ -216,6 +218,18 @@ class TestValidateCommand:
         assert float(values["RI"]) == 1.49
         assert float(values["CR"]) == pytest.approx(0.0, abs=1e-9)
 
+    def test_all_zero_file_passes_with_both_warnings(self, capsys, tmp_path):
+        # rank rejects this file (no manual baseline exists); validate does not
+        path = tmp_path / "zero.csv"
+        path.write_text("id,a,b\nr1,0,0\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "validate", "--input", str(path))
+        assert code == 0
+        assert "PASS" in out
+        assert err.splitlines() == [
+            "warning: all-zero column(s) 0 normalized to zeros",
+            "warning: 2 score(s) below 1e-06 floored before ratio construction",
+        ]
+
 
 class TestExportPlotdata:
     def test_all_methods_row_count(self, capsys, travel_csv_path):
@@ -248,3 +262,48 @@ class TestExportPlotdata:
         code, out, err = run_cli(capsys, "export-plotdata", "--input", str(path))
         assert code == 1
         assert "no data rows" in err
+
+    @pytest.mark.parametrize("normalize", ["--normalize", "--no-normalize"])
+    @pytest.mark.parametrize("score_mode", ["weight", "weight-times-mean"])
+    @pytest.mark.parametrize("method", ["ahp", "fuzzy-ahp", "manual", "all"])
+    def test_rows_are_rank_csv_rows_reordered(
+        self, capsys, travel_csv_path, method, score_mode, normalize
+    ):
+        flags = (
+            "--input", str(travel_csv_path),
+            "--method", method, "--score-mode", score_mode, normalize,
+        )
+        code, out, err = run_cli(capsys, "rank", "--format", "csv", *flags)
+        plot_code, plot_out, plot_err = run_cli(capsys, "export-plotdata", *flags)
+        assert (plot_code, plot_err) == (code, err)
+        header, *rows = list(csv.reader(io.StringIO(plot_out)))
+        assert header == ["method", "alternative", "weight", "rank"]
+        ranked = csv.DictReader(io.StringIO(out))
+        assert rows == [[r[column] for column in header] for r in ranked]
+
+
+#: case -> (input bytes, names-config bytes or None, text the error must name)
+UNREADABLE = {
+    "input-not-utf8": (b"id,a,b\nr1,\xff,1\n", None, "input.csv"),
+    "names-not-utf8": (b"id,a,b\nr1,1,2\n", b"1=caf\xe9\n", "names.cfg"),
+    "oversized-field": (b"id,a,b\nr1," + b"1" * 200_000 + b",1\n", None, "row 2"),
+}
+
+
+@pytest.mark.parametrize("case", list(UNREADABLE))
+@pytest.mark.parametrize("command", ["rank", "validate", "export-plotdata"])
+def test_unreadable_input_is_one_error_line(capsys, tmp_path, command, case):
+    data, names, named = UNREADABLE[case]
+    path = tmp_path / "input.csv"
+    path.write_bytes(data)
+    argv = [command, "--input", str(path)]
+    if names is not None:
+        cfg = tmp_path / "names.cfg"
+        cfg.write_bytes(names)
+        argv += ["--names-config", str(cfg)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and named in errors[0]

@@ -11,12 +11,10 @@ from tourrank import (
     DegenerateColumnWarning,
     InputError,
     ParseError,
-    RatingCategory,
     RatingRangeError,
     ReviewMatrix,
     StructureError,
     category_means,
-    classify_rating,
     load_reviews,
     normalize,
 )
@@ -203,33 +201,3 @@ class TestNormalize:
     @settings(max_examples=200, deadline=None)
     def test_scale_invariant(self, m, c):
         np.testing.assert_allclose(normalize(c * m), normalize(m), atol=1e-12)
-
-
-class TestClassifyRating:
-    @pytest.mark.parametrize(
-        "value,expected",
-        [
-            (0.0, RatingCategory.TERRIBLE),
-            (0.005, RatingCategory.POOR),
-            (1.0, RatingCategory.POOR),
-            (1.01, RatingCategory.AVERAGE),
-            (2.0, RatingCategory.AVERAGE),
-            (2.01, RatingCategory.VERY_GOOD),
-            (3.0, RatingCategory.VERY_GOOD),
-            (3.01, RatingCategory.EXCELLENT),
-            (4.0, RatingCategory.EXCELLENT),
-        ],
-    )
-    def test_boundaries(self, value, expected):
-        assert classify_rating(value) is expected
-
-    @pytest.mark.parametrize("value", [-0.001, 4.001, float("nan"), float("inf")])
-    def test_out_of_range(self, value):
-        with pytest.raises(RatingRangeError):
-            classify_rating(value)
-
-    @given(st.floats(0, 4, allow_nan=False))
-    @settings(max_examples=500, deadline=None)
-    def test_total_partition(self, v):
-        # every rating lands in exactly one category
-        assert classify_rating(v) in RatingCategory

@@ -19,7 +19,6 @@ from tourrank import (
     fuzzy_weights,
     saaty_to_tfn,
     synthetic_extents,
-    tfn_add,
     tfn_inverse,
 )
 
@@ -83,13 +82,6 @@ class TestTfnOps:
         with pytest.raises(InputError):
             tfn_inverse(Tfn(0.0, 1.0, 2.0))
 
-    def test_add(self):
-        assert tfn_add(Tfn(1, 2, 3), Tfn(2, 3, 4)) == Tfn(3, 5, 7)
-
-    def test_add_identity(self):
-        t = Tfn(0.5, 1.0, 1.5)
-        assert tfn_add(t, Tfn(0, 0, 0)) == t
-
     def test_ordering_enforced(self):
         with pytest.raises(InputError):
             Tfn(2.0, 1.0, 3.0)
@@ -101,18 +93,6 @@ class TestTfnOps:
         assert back.l == pytest.approx(t.l, abs=1e-12)
         assert back.m == pytest.approx(t.m, abs=1e-12)
         assert back.u == pytest.approx(t.u, abs=1e-12)
-
-    @given(tfns, tfns, tfns)
-    @settings(max_examples=200, deadline=None)
-    def test_add_commutative_associative(self, a, b, c):
-        ab = tfn_add(a, b)
-        ba = tfn_add(b, a)
-        assert (ab.l, ab.m, ab.u) == pytest.approx((ba.l, ba.m, ba.u), abs=1e-12)
-        left = tfn_add(tfn_add(a, b), c)
-        right = tfn_add(a, tfn_add(b, c))
-        assert (left.l, left.m, left.u) == pytest.approx(
-            (right.l, right.m, right.u), abs=1e-12
-        )
 
 
 class TestBuildFuzzyPairwise:
