@@ -35,7 +35,6 @@ from .errors import (
     RatingRangeError,
     ScoreFloorWarning,
     StructureError,
-    UniformFallbackWarning,
 )
 from .fuzzy import (
     ExtentVector,
@@ -81,7 +80,6 @@ __all__ = [
     "ScoreVector",
     "StructureError",
     "Tfn",
-    "UniformFallbackWarning",
     "WeightVector",
     "build_fuzzy_pairwise",
     "build_pairwise",

@@ -113,21 +113,15 @@ def build_pairwise(s: ScoreVector) -> PairwiseMatrix:
         )
     scores = np.maximum(scores, SCORE_FLOOR)
 
-    a = np.ones((n, n))
-    clamped = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            ratio = scores[i] / scores[j]
-            if ratio > SAATY_MAX:
-                a[i, j], a[j, i] = SAATY_MAX, SAATY_MIN
-                clamped += 1
-            elif ratio < SAATY_MIN:
-                a[i, j], a[j, i] = SAATY_MIN, SAATY_MAX
-                clamped += 1
-            else:
-                # direct division on both sides keeps rows of tied scores
-                # bitwise identical; reciprocity still holds to ~1 ulp
-                a[i, j], a[j, i] = ratio, scores[j] / scores[i]
+    # direct division on both sides keeps rows of tied scores bitwise
+    # identical (and the diagonal exactly 1); reciprocity holds to ~1 ulp
+    a = scores[:, None] / scores[None, :]
+    # the upper triangle decides each pair, so both sides clamp together
+    high = np.triu(a > SAATY_MAX, 1)
+    low = np.triu(a < SAATY_MIN, 1)
+    a[high | low.T] = SAATY_MAX
+    a[low | high.T] = SAATY_MIN
+    clamped = int(high.sum() + low.sum())
     if clamped:
         warnings.warn(
             f"{clamped} ratio pair(s) clamped to [1/9, 9]",

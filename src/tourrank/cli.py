@@ -8,7 +8,8 @@ diagnostics of the comparison matrix behind the data.
 
 Exit codes: 0 success, 1 input or parse error (a missing, unreadable or
 non-UTF-8 file, a malformed CSV, a ``--cr-threshold`` that is not a
-positive finite number), 2 consistency-gate failure. Warnings and errors
+positive finite number, a stdout pipe closed before the output was
+written), 2 consistency-gate failure. Warnings and errors
 go to stderr, one line each; data stays on stdout.
 """
 
@@ -19,6 +20,7 @@ import contextlib
 import csv
 import json
 import math
+import os
 import sys
 import warnings
 from typing import Sequence
@@ -151,7 +153,7 @@ def _gate(reports: list[RankingReport]) -> int:
     return EXIT_OK
 
 
-def _print_validation(report: ConsistencyReport, threshold: float) -> int:
+def _print_validation(report: ConsistencyReport, threshold: float) -> None:
     verdict = (
         f"PASS (CR <= {threshold:g})"
         if report.consistent
@@ -163,7 +165,6 @@ def _print_validation(report: ConsistencyReport, threshold: float) -> int:
     print(f"RI          {report.ri:.6f}")
     print(f"CR          {report.cr:.6f}")
     print(f"verdict     {verdict}")
-    return EXIT_OK if report.consistent else EXIT_INCONSISTENT
 
 
 def _run(args: argparse.Namespace) -> int:
@@ -203,15 +204,27 @@ def _run(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
+    try:
+        if args.command == "validate":
+            _print_validation(report, args.cr_threshold)
+        elif args.format == "table":
+            print("\n\n".join(_format_table(r) for r in reports))
+        elif args.format == "json":
+            payload = [_report_dict(r) for r in reports]
+            print(json.dumps(payload[0] if len(payload) == 1 else payload, indent=2))
+        else:
+            _write_csv(reports, args.columns)
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        # The reader closed the pipe early. Point stdout at devnull so the
+        # interpreter's flush at exit has nowhere left to fail.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     if args.command == "validate":
-        return _print_validation(report, args.cr_threshold)
-    if args.format == "table":
-        print("\n\n".join(_format_table(r) for r in reports))
-    elif args.format == "json":
-        payload = [_report_dict(r) for r in reports]
-        print(json.dumps(payload[0] if len(payload) == 1 else payload, indent=2))
-    else:
-        _write_csv(reports, args.columns)
+        return EXIT_OK if report.consistent else EXIT_INCONSISTENT
     return _gate(reports)
 
 

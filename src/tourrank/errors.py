@@ -49,7 +49,3 @@ class ScoreFloorWarning(UserWarning):
 
 class ClampWarning(UserWarning):
     """Pairwise ratios outside the 1/9..9 scale were clamped."""
-
-
-class UniformFallbackWarning(UserWarning):
-    """All possibility degrees were zero; uniform weights substituted."""

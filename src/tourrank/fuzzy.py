@@ -1,16 +1,20 @@
-"""Triangular-fuzzy comparison scale, extent analysis, and possibility weights."""
+"""Triangular-fuzzy comparison scale, extent analysis, and possibility weights.
+
+Chang's extent analysis on arrays: a triangular fuzzy number (TFN) is a row
+(l, m, u), a fuzzy matrix (n, n, 3), the extents (n, 3). ``Tfn`` and its
+functions are the scalar reference of the same scale and formulas.
+"""
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .ahp import PairwiseMatrix, WeightVector
 from .dataset import _readonly
-from .errors import InputError, UniformFallbackWarning
+from .errors import InputError
 
 
 @dataclass(frozen=True)
@@ -28,26 +32,26 @@ class Tfn:
             raise InputError(f"TFN requires l <= m <= u, got ({self.l}, {self.m}, {self.u})")
 
 
-# Comparison scale: intensity of importance 1..9 -> TFN. Intensity 1 is
-# "just equal"; from 3 up the pattern is ((k-2)/2, (k-1)/2, k/2).
-_SCALE = {
-    1: Tfn(1.0, 1.0, 1.0),
-    2: Tfn(1 / 2, 3 / 4, 1.0),
-    3: Tfn(2 / 3, 1.0, 3 / 2),
-    4: Tfn(1.0, 3 / 2, 2.0),
-    5: Tfn(3 / 2, 2.0, 5 / 2),
-    6: Tfn(2.0, 5 / 2, 3.0),
-    7: Tfn(5 / 2, 3.0, 7 / 2),
-    8: Tfn(3.0, 7 / 2, 4.0),
-    9: Tfn(7 / 2, 4.0, 9 / 2),
-}
+# Comparison scale: row k-1 is the TFN of intensity k in 1..9. Intensity 1
+# is "just equal"; from 4 up the pattern is ((k-2)/2, (k-1)/2, k/2).
+_SCALE = _readonly([
+    (1.0, 1.0, 1.0),
+    (1 / 2, 3 / 4, 1.0),
+    (2 / 3, 1.0, 3 / 2),
+    (1.0, 3 / 2, 2.0),
+    (3 / 2, 2.0, 5 / 2),
+    (2.0, 5 / 2, 3.0),
+    (5 / 2, 3.0, 7 / 2),
+    (3.0, 7 / 2, 4.0),
+    (7 / 2, 4.0, 9 / 2),
+])
 
 
 def saaty_to_tfn(intensity: int) -> Tfn:
     """TFN for an integer comparison intensity in 1..9."""
-    if intensity not in _SCALE:
+    if intensity not in range(1, 10):
         raise InputError(f"intensity {intensity!r} outside 1..9")
-    return _SCALE[intensity]
+    return Tfn(*_SCALE[int(intensity) - 1].tolist())
 
 
 def tfn_inverse(t: Tfn) -> Tfn:
@@ -55,6 +59,13 @@ def tfn_inverse(t: Tfn) -> Tfn:
     if t.l <= 0:
         raise InputError(f"cannot invert TFN with l <= 0: {t}")
     return Tfn(1.0 / t.u, 1.0 / t.m, 1.0 / t.l)
+
+
+def _check_tfns(t: np.ndarray) -> None:
+    if not np.all(np.isfinite(t)) or np.any(t <= 0):
+        raise InputError("TFN components must be positive and finite")
+    if np.any(t[..., 0] > t[..., 1]) or np.any(t[..., 1] > t[..., 2]):
+        raise InputError("every entry must satisfy l <= m <= u")
 
 
 @dataclass(frozen=True)
@@ -76,10 +87,7 @@ class FuzzyPairwiseMatrix:
         n = f.shape[0]
         if n != len(names):
             raise InputError(f"{len(names)} names for a {n}x{n} fuzzy matrix")
-        if not np.all(np.isfinite(f)) or np.any(f <= 0):
-            raise InputError("TFN components must be positive and finite")
-        if np.any(f[:, :, 0] > f[:, :, 1]) or np.any(f[:, :, 1] > f[:, :, 2]):
-            raise InputError("every entry must satisfy l <= m <= u")
+        _check_tfns(f)
         if np.any(f[np.arange(n), np.arange(n)] != 1.0):
             raise InputError("diagonal entries must be (1, 1, 1)")
         if np.max(np.abs(f[:, :, ::-1].transpose(1, 0, 2) * f - 1.0)) > 1e-9:
@@ -98,49 +106,42 @@ class FuzzyPairwiseMatrix:
 
 @dataclass(frozen=True)
 class ExtentVector:
-    """Fuzzy synthetic extents, one TFN per alternative."""
+    """Fuzzy synthetic extents, stored as an (n, 3) array of (l, m, u) rows."""
 
     names: tuple[str, ...]
-    s: tuple[Tfn, ...]
+    s: np.ndarray
 
     def __post_init__(self):
         names = tuple(self.names)
-        s = tuple(self.s)
-        if len(s) != len(names):
+        s = _readonly(self.s)
+        if s.ndim != 2 or s.shape[1] != 3:
+            raise InputError("extents must have shape (n, 3)")
+        if s.shape[0] != len(names):
             raise InputError("one extent per alternative required")
-        if any(t.l <= 0 for t in s):
-            raise InputError("extents must be positive")
+        _check_tfns(s)
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "s", s)
-
-
-def _round_half_up(x: float) -> int:
-    return int(math.floor(x + 0.5))
-
-
-def _crisp_to_tfn(value: float) -> Tfn:
-    # Ratios are rounded to the nearest scale intensity, ties up. Values
-    # below 1 go through the inverse side so both directions agree.
-    if value >= 1.0:
-        return saaty_to_tfn(min(max(_round_half_up(value), 1), 9))
-    return tfn_inverse(saaty_to_tfn(min(max(_round_half_up(1.0 / value), 1), 9)))
 
 
 def build_fuzzy_pairwise(p: PairwiseMatrix) -> FuzzyPairwiseMatrix:
     """Fuzzify a crisp comparison matrix through the intensity scale.
 
-    Each upper-triangle ratio is mapped to the TFN of its rounded
-    intensity (or the inverse TFN for ratios below 1); the lower triangle
-    is filled with exact inverses and the diagonal with (1,1,1).
+    Each upper-triangle ratio is rounded to the nearest intensity, ties
+    up, and mapped to that intensity's TFN; a ratio below 1 is rounded
+    through its reciprocal and takes the inverse TFN, so both directions
+    agree. The lower triangle holds the exact inverses, the diagonal
+    (1,1,1).
     """
     n = p.order
+    i, j = np.triu_indices(n, 1)
+    ratio = p.a[i, j]
+    below = ratio < 1.0
+    intensity = np.floor(np.where(below, 1.0 / ratio, ratio) + 0.5)
+    t = _SCALE[np.clip(intensity, 1, 9).astype(int) - 1]
+    t = np.where(below[:, None], 1.0 / t[:, ::-1], t)
     f = np.ones((n, n, 3))
-    for i in range(n):
-        for j in range(i + 1, n):
-            t = _crisp_to_tfn(float(p.a[i, j]))
-            ti = tfn_inverse(t)
-            f[i, j] = (t.l, t.m, t.u)
-            f[j, i] = (ti.l, ti.m, ti.u)
+    f[i, j] = t
+    f[j, i] = 1.0 / t[:, ::-1]
     return FuzzyPairwiseMatrix(p.names, f)
 
 
@@ -154,10 +155,7 @@ def synthetic_extents(fp: FuzzyPairwiseMatrix) -> ExtentVector:
     total = rows.sum(axis=0)
     if total[0] <= 0:
         raise InputError("total fuzzy sum must be positive")
-    s = rows / total[::-1]
-    return ExtentVector(
-        fp.names, tuple(Tfn(float(l), float(m), float(u)) for l, m, u in s)
-    )
+    return ExtentVector(fp.names, rows / total[::-1])
 
 
 def degree_of_possibility(m2: Tfn, m1: Tfn) -> float:
@@ -181,26 +179,22 @@ def degree_of_possibility(m2: Tfn, m1: Tfn) -> float:
 def fuzzy_weights(e: ExtentVector) -> WeightVector:
     """Weights from minimum pairwise possibility degrees, sum-normalized.
 
-    d_i = min over j != i of V(S_i >= S_j). An all-zero degree vector
-    (unreachable for valid extents) falls back to uniform weights with a
-    warning.
+    d_i = min over j != i of V(S_i >= S_j), with V as in
+    :func:`degree_of_possibility`. The degrees never sum to 0: the extent
+    with the highest m has degree 1 against every other extent.
     """
-    s = e.s
-    n = len(s)
+    n = e.s.shape[0]
     if n < 2:
         raise InputError(f"need at least 2 extents, got {n}")
-    d = np.array(
-        [
-            min(degree_of_possibility(s[i], s[j]) for j in range(n) if j != i)
-            for i in range(n)
-        ]
-    )
-    total = d.sum()
-    if total == 0:
-        warnings.warn(
-            "all possibility degrees are zero; falling back to uniform weights",
-            UniformFallbackWarning,
-            stacklevel=2,
-        )
-        return WeightVector(e.names, np.full(n, 1.0 / n))
-    return WeightVector(e.names, d / total)
+    l, m, u = e.s.T
+    # row i is S_i (the m2 side), column j is S_j (the m1 side)
+    m2, u2 = m[:, None], u[:, None]
+    l1, m1 = l[None, :], m[None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # a zero denominator needs m2 == u2 and m1 == l1, which one of
+        # the first two branches already covers
+        height = (l1 - u2) / ((m2 - u2) - (m1 - l1))
+    v = np.where(m2 >= m1, 1.0, np.where(l1 >= u2, 0.0, height))
+    np.fill_diagonal(v, np.inf)
+    d = v.min(axis=1)
+    return WeightVector(e.names, d / d.sum())

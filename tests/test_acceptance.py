@@ -181,7 +181,7 @@ def test_c6_fuzzy_weight_oracle_equivalence():
             fp = FuzzyPairwiseMatrix(tuple(f"a{i}" for i in range(n)), f)
             extents = synthetic_extents(fp)
             got = fuzzy_weights(extents).w
-            want = _oracle_weights([(t.l, t.m, t.u) for t in extents.s])
+            want = _oracle_weights(extents.s.tolist())
             np.testing.assert_allclose(got, want, atol=1e-10)
 
 

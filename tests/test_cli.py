@@ -1,9 +1,14 @@
 import csv
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import tourrank
 from tourrank.cli import main
 
 
@@ -307,3 +312,35 @@ def test_unreadable_input_is_one_error_line(capsys, tmp_path, command, case):
     assert "Traceback" not in err
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert len(errors) == 1 and named in errors[0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rank", "--format", "table"],
+        ["rank", "--format", "json"],
+        ["rank", "--format", "csv"],
+        ["validate"],
+        ["export-plotdata"],
+    ],
+)
+def test_closed_stdout_pipe_is_one_error_line(travel_csv_path, argv):
+    # stdout is a pipe whose reader is gone before anything is written
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = pathlib.Path(tourrank.__file__).resolve().parents[1]
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "tourrank", *argv, "--input", str(travel_csv_path)],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cannot write output")
+    assert "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr

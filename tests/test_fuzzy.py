@@ -12,7 +12,6 @@ from tourrank import (
     PairwiseMatrix,
     ScoreVector,
     Tfn,
-    UniformFallbackWarning,
     build_fuzzy_pairwise,
     build_pairwise,
     degree_of_possibility,
@@ -141,14 +140,13 @@ class TestSyntheticExtents:
     def test_two_equal_alternatives(self):
         p = PairwiseMatrix(("a", "b"), np.ones((2, 2)))
         e = synthetic_extents(build_fuzzy_pairwise(p))
-        assert e.s[0] == Tfn(0.5, 0.5, 0.5)
-        assert e.s[1] == Tfn(0.5, 0.5, 0.5)
+        assert e.s.tolist() == [[0.5, 0.5, 0.5], [0.5, 0.5, 0.5]]
 
     def test_three_equal_alternatives(self):
         p = PairwiseMatrix(("a", "b", "c"), np.ones((3, 3)))
         e = synthetic_extents(build_fuzzy_pairwise(p))
-        for t in e.s:
-            assert (t.l, t.m, t.u) == pytest.approx((1 / 3, 1 / 3, 1 / 3), abs=1e-15)
+        for t in e.s.tolist():
+            assert tuple(t) == pytest.approx((1 / 3, 1 / 3, 1 / 3), abs=1e-15)
 
     def test_two_by_two_hand_computed(self):
         # rows: (1,1,1)+(1,3/2,2) and (1/2,2/3,1)+(1,1,1)
@@ -157,9 +155,9 @@ class TestSyntheticExtents:
         f[0, 1] = (1.0, 1.5, 2.0)
         f[1, 0] = (0.5, 2 / 3, 1.0)
         e = synthetic_extents(FuzzyPairwiseMatrix(("a", "b"), f))
-        s1, s2 = e.s
-        assert (s1.l, s1.m, s1.u) == pytest.approx((0.4, 0.6, 6 / 7), abs=1e-12)
-        assert (s2.l, s2.m, s2.u) == pytest.approx((0.3, 0.4, 4 / 7), abs=1e-12)
+        s1, s2 = e.s.tolist()
+        assert tuple(s1) == pytest.approx((0.4, 0.6, 6 / 7), abs=1e-12)
+        assert tuple(s2) == pytest.approx((0.3, 0.4, 4 / 7), abs=1e-12)
 
     @pytest.mark.filterwarnings("ignore::tourrank.ClampWarning")
     @given(st.lists(st.floats(0.05, 1.0), min_size=2, max_size=6))
@@ -168,8 +166,8 @@ class TestSyntheticExtents:
         e = synthetic_extents(
             build_fuzzy_pairwise(build_pairwise(scores_for_tests(vals)))
         )
-        for t in e.s:
-            assert 0 < t.l <= t.m <= t.u
+        for l, m, u in e.s.tolist():
+            assert 0 < l <= m <= u
 
 
 class TestDegreeOfPossibility:
@@ -225,7 +223,7 @@ def oracle_fuzzy_weights(extents):
 
 class TestFuzzyWeights:
     def test_identical_extents_uniform(self):
-        e = ExtentVector(("a", "b", "c"), (Tfn(1, 2, 3),) * 3)
+        e = ExtentVector(("a", "b", "c"), [(1, 2, 3)] * 3)
         np.testing.assert_allclose(fuzzy_weights(e).w, [1 / 3] * 3, atol=1e-12)
 
     def test_all_just_equal_matrix_exactly_uniform(self):
@@ -234,24 +232,12 @@ class TestFuzzyWeights:
         assert list(w) == [0.25, 0.25, 0.25, 0.25]
 
     def test_strict_dominance(self):
-        e = ExtentVector(("a", "b"), (Tfn(3, 4, 5), Tfn(1, 1.5, 2)))
+        e = ExtentVector(("a", "b"), [(3, 4, 5), (1, 1.5, 2)])
         np.testing.assert_allclose(fuzzy_weights(e).w, [1.0, 0.0], atol=1e-15)
 
     def test_single_extent_rejected(self):
         with pytest.raises(InputError):
-            fuzzy_weights(ExtentVector(("a",), (Tfn(1, 2, 3),)))
-
-    def test_uniform_fallback_on_zero_degrees(self, monkeypatch):
-        # unreachable for valid extents; force it to check the defensive path
-        import tourrank.fuzzy as fuzzy_module
-
-        monkeypatch.setattr(
-            fuzzy_module, "degree_of_possibility", lambda a, b: 0.0
-        )
-        e = ExtentVector(("a", "b"), (Tfn(1, 2, 3), Tfn(1, 2, 3)))
-        with pytest.warns(UniformFallbackWarning):
-            w = fuzzy_module.fuzzy_weights(e)
-        np.testing.assert_allclose(w.w, [0.5, 0.5])
+            fuzzy_weights(ExtentVector(("a",), [(1, 2, 3)]))
 
     @given(
         st.lists(st.tuples(st.integers(1, 9), st.booleans()), min_size=1, max_size=10)
@@ -273,7 +259,7 @@ class TestFuzzyWeights:
         fp = FuzzyPairwiseMatrix(tuple("abcde"[:n]), f)
         e = synthetic_extents(fp)
         got = fuzzy_weights(e).w
-        want = oracle_fuzzy_weights([(t.l, t.m, t.u) for t in e.s])
+        want = oracle_fuzzy_weights(e.s.tolist())
         np.testing.assert_allclose(got, want, atol=1e-10)
 
     def test_permutation_equivariance(self):
@@ -290,6 +276,29 @@ class TestFuzzyWeights:
             )
         )
         np.testing.assert_allclose(permuted.w, base.w[perm], atol=1e-12)
+
+
+class TestExtentVectorInvariants:
+    @pytest.mark.parametrize(
+        "names, s",
+        [
+            (("a", "b"), np.ones((2, 2))),
+            (("a", "b", "c"), [(1, 2, 3), (1, 2, 3)]),
+            (("a", "b"), [(0.0, 2, 3), (1, 2, 3)]),
+            (("a", "b"), [(1, float("nan"), 3), (1, 2, 3)]),
+            (("a", "b"), [(2.5, 2, 3), (1, 2, 3)]),
+            (("a", "b"), [(1, 3.5, 3), (1, 2, 3)]),
+        ],
+        ids=["shape", "count", "l-nonpositive", "nan", "l-above-m", "m-above-u"],
+    )
+    def test_invalid_extents_rejected(self, names, s):
+        with pytest.raises(InputError):
+            ExtentVector(names, s)
+
+    def test_extents_are_read_only(self):
+        e = ExtentVector(("a", "b"), [(1, 2, 3), (1, 2, 3)])
+        with pytest.raises(ValueError):
+            e.s[0, 0] = 5.0
 
 
 class TestFuzzyPairwiseMatrixInvariants:
