@@ -176,12 +176,16 @@ def consistency_index(lambda_max: float, n: int) -> float:
 
 
 def random_index(n: int) -> float:
-    """Random consistency index for matrix order n (table covers 1..15)."""
-    if not 1 <= n <= len(RANDOM_INDEX):
-        raise InputError(
-            f"random index undefined for n={n}; table covers 1..{len(RANDOM_INDEX)}"
-        )
-    return RANDOM_INDEX[n - 1]
+    """Random consistency index for matrix order n >= 1.
+
+    Saaty's table for n <= 15; above it the linear fit of random-matrix
+    lambda_max by Alonso & Lamata (2006), RI(n) = (1.7699 n - 4.3513) / (n - 1).
+    """
+    if n < 1:
+        raise InputError(f"random index undefined for n={n}; n must be >= 1")
+    if n <= len(RANDOM_INDEX):
+        return RANDOM_INDEX[n - 1]
+    return (1.7699 * n - 4.3513) / (n - 1)
 
 
 def consistency_ratio(

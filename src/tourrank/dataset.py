@@ -39,9 +39,17 @@ CANONICAL_CATEGORY_NAMES = (
 
 _GENERIC_HEADER = re.compile(r"^category\s*\d+$", re.IGNORECASE)
 
+#: Lines handed to one ``np.loadtxt`` call. Only a block that fails a check
+#: is parsed again by the per-cell loop, so a bad cell costs one block.
+_BLOCK_LINES = 256
+
 
 def _readonly(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=float)
+    """A read-only float copy of ``a``; ragged or non-numeric input is an InputError."""
+    try:
+        out = np.array(a, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"not a regular numeric array: {exc}") from None
     out.setflags(write=False)
     return out
 
@@ -123,6 +131,10 @@ def load_reviews(
     ``names`` maps 1-based rating-column indices to replacement names and
     wins over both.
 
+    Cells are read as Python ``float()`` reads them. The body goes through
+    ``np.loadtxt`` in blocks of lines; a block that fails there, and a file
+    with quotes, is read cell by cell, which names the first bad cell.
+
     Args:
         source: text stream or iterable of lines.
         delimiter: field separator, a single character.
@@ -135,7 +147,8 @@ def load_reviews(
         ParseError: non-numeric cell, with its 1-based row/column.
         RatingRangeError: rating outside [0, 4].
     """
-    records = _records(csv.reader(source, delimiter=delimiter))
+    lines = list(source)
+    records = _records(csv.reader(lines, delimiter=delimiter))
     header = next(records, None)
     if header is None:
         raise StructureError("empty input: expected a header row")
@@ -146,8 +159,90 @@ def load_reviews(
             f"got {n_cols} column(s)"
         )
 
+    if not _one_record_per_line(lines):
+        values = _parse_records(records, n_cols, 2)
+    else:
+        parts = [np.empty((0, n_cols - 1))]
+        with warnings.catch_warnings():
+            # a block of blank lines is valid and holds no rows
+            warnings.filterwarnings(
+                "ignore", "loadtxt: input contained no data", UserWarning
+            )
+            for start in range(1, len(lines), _BLOCK_LINES):
+                block = lines[start : start + _BLOCK_LINES]
+                ratings = _load_block(block, n_cols, delimiter)
+                if ratings is None:
+                    # the per-cell loop names the bad cell, or reads what
+                    # float() accepts and loadtxt does not (such as "1_0")
+                    rows = _records(csv.reader(block, delimiter=delimiter), start + 1)
+                    ratings = _parse_records(rows, n_cols, start + 1)
+                parts.append(ratings)
+        values = np.concatenate(parts)
+
+    if values.shape[0] == 0:
+        raise StructureError("no data rows after the header")
+    return ReviewMatrix(_resolve_names(header[1:], names), values.T)
+
+
+def _one_record_per_line(lines: list[str]) -> bool:
+    """Whether ``csv.reader`` reads each line as one record that loadtxt splits alike.
+
+    False when a line is not text, or the text holds a quote (a quoted field
+    may span lines), a NUL (which some ``csv`` versions reject), or a line
+    longer than the CSV field size limit.
+    """
+    try:
+        text = "".join(lines)
+    except TypeError:
+        return False
+    return (
+        '"' not in text
+        and "\x00" not in text
+        and max(map(len, lines), default=0) <= csv.field_size_limit()
+    )
+
+
+def _ignore_id(_field: str) -> float:
+    return 0.0
+
+
+def _load_block(block: list[str], n_cols: int, delimiter: str) -> np.ndarray | None:
+    """The block's ratings through numpy's C reader, or None if any check fails.
+
+    The converter on the id column makes loadtxt read every field, so a row
+    that is too long fails as one that is too short does. NaN fails the
+    range check, so non-finite ratings fail too.
+    """
+    try:
+        a = np.loadtxt(
+            block,
+            delimiter=delimiter,
+            comments=None,
+            converters={0: _ignore_id},
+            ndmin=2,
+        )
+    except ValueError:
+        return None
+    if a.shape[0] == 0:
+        return np.empty((0, n_cols - 1))
+    ratings = a[:, 1:]
+    if a.shape[1] != n_cols or not np.all(
+        (ratings >= RATING_MIN) & (ratings <= RATING_MAX)
+    ):
+        return None
+    return ratings
+
+
+def _parse_records(
+    records: Iterable[list[str]], n_cols: int, first_row: int
+) -> np.ndarray:
+    """Ratings of ``records`` parsed cell by cell; the first bad cell raises.
+
+    ``first_row`` is the 1-based file row of the first record. Empty records
+    are skipped but counted.
+    """
     rows: list[list[float]] = []
-    for row_no, row in enumerate(records, start=2):
+    for row_no, row in enumerate(records, start=first_row):
         if not row:
             continue
         if len(row) != n_cols:
@@ -175,17 +270,14 @@ def load_reviews(
                 )
             parsed.append(value)
         rows.append(parsed)
-
-    if not rows:
-        raise StructureError("no data rows after the header")
-
-    values = np.asarray(rows, dtype=float).T
-    return ReviewMatrix(_resolve_names(header[1:], names), values)
+    return np.array(rows, dtype=float).reshape(len(rows), n_cols - 1)
 
 
-def _records(reader) -> Iterator[list[str]]:
-    """The reader's rows, with a CSV format error turned into StructureError."""
-    row_no = 1
+def _records(reader, row_no: int = 1) -> Iterator[list[str]]:
+    """The reader's rows, with a CSV format error turned into StructureError.
+
+    ``row_no`` is the 1-based file row of the reader's first record.
+    """
     while True:
         try:
             row = next(reader)

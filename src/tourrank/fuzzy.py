@@ -169,11 +169,9 @@ def degree_of_possibility(m2: Tfn, m1: Tfn) -> float:
         return 1.0
     if m1.l >= m2.u:
         return 0.0
-    denom = (m2.m - m2.u) - (m1.m - m1.l)
-    if denom == 0:
-        # Both TFNs collapsed to points with m2 < m1: no overlap credit.
-        return 0.0
-    return (m1.l - m2.u) / denom
+    # the denominator is not 0 here: that needs m2.m == m2.u and m1.m == m1.l,
+    # so m1.l > m2.u, which the branch above has returned on
+    return (m1.l - m2.u) / ((m2.m - m2.u) - (m1.m - m1.l))
 
 
 def fuzzy_weights(e: ExtentVector) -> WeightVector:

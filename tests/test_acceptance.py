@@ -79,6 +79,9 @@ def test_c2_mse_magnitude(travel_matrix):
         reports = {r.method: r for r in compare_methods(travel_matrix)}
         assert reports["fuzzy_ahp"].mse_vs_manual <= 5e-3
         # reported reference magnitude is ~2e-4; ours stays within one
+        # order of it: fuzzy_ahp measures 2.57e-3 on the fixture, and
+        # uniform weights (1/n each) give 2.75e-3, so this bound would pass
+        # a constant vector too
 
 
 def test_c3_consistent_matrix_suite():

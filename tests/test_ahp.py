@@ -95,6 +95,10 @@ class TestPairwiseMatrixInvariants:
         with pytest.raises(InputError):
             PairwiseMatrix(("a", "b"), np.array([[1.0, 0.0], [np.inf, 1.0]]))
 
+    def test_ragged_rejected(self):
+        with pytest.raises(InputError):
+            PairwiseMatrix(("a", "b"), [[1.0, 2.0], [0.5]])
+
 
 class TestPrincipalEigenvector:
     def test_consistent_matrix_recovers_weights(self):
@@ -188,10 +192,38 @@ class TestRandomIndex:
     def test_table(self, n, expected):
         assert random_index(n) == expected
 
-    @pytest.mark.parametrize("n", [0, -1, 16])
+    @pytest.mark.parametrize("n", [0, -1])
     def test_out_of_table(self, n):
         with pytest.raises(InputError):
             random_index(n)
+
+    @staticmethod
+    def fit(n):
+        # Alonso & Lamata (2006): lambda_max of random matrices is linear in n
+        return (1.7699 * n - 4.3513) / (n - 1)
+
+    def test_fit_tracks_table(self):
+        for n in range(4, 16):
+            assert abs(self.fit(n) - random_index(n)) <= 0.02
+
+    @pytest.mark.parametrize("n", [16, 24, 100])
+    def test_fit_past_table(self, n):
+        assert random_index(n) == self.fit(n)
+
+    def test_monte_carlo_agrees_with_fit_at_16(self):
+        # mean CI of 1000 random reciprocal matrices with entries drawn from
+        # the 17-value 1/9..9 scale; its standard error is about 0.004, so
+        # 0.02 is five standard errors
+        n, k = 16, 1000
+        scale = np.array([1 / v for v in range(9, 1, -1)] + list(range(1, 10)), float)
+        rng = np.random.default_rng(0)
+        iu, ju = np.triu_indices(n, 1)
+        a = np.ones((k, n, n))
+        upper = scale[rng.integers(0, scale.size, size=(k, iu.size))]
+        a[:, iu, ju] = upper
+        a[:, ju, iu] = 1 / upper
+        lam = np.linalg.eigvals(a).real.max(axis=1)
+        assert abs(((lam - n) / (n - 1)).mean() - random_index(n)) <= 0.02
 
 
 class TestConsistencyRatio:

@@ -177,6 +177,20 @@ class TestRankCommand:
         assert code == 0
         assert "0.7500" in out
 
+    def test_sixteen_rating_columns_rank(self, capsys, tmp_path):
+        # past Saaty's table: the random index comes from the linear fit
+        ratings = [f"{0.4 + 0.2 * i:.1f}" for i in range(16)]
+        path = tmp_path / "wide.csv"
+        path.write_text(
+            "id," + ",".join(f"c{i}" for i in range(16)) + "\n"
+            "r1," + ",".join(ratings) + "\n",
+            encoding="utf-8",
+        )
+        code, out, err = run_cli(capsys, "rank", "--input", str(path), "--method", "all")
+        assert code == 0, err
+        assert err == ""
+        assert out.count("c15") == 3
+
     @pytest.mark.parametrize("value", ["-1", "nan", "inf", "-inf"])
     def test_invalid_cr_threshold(self, capsys, two_equal_csv, value):
         # the "=" form keeps argparse from taking "-inf" for an option

@@ -13,6 +13,7 @@ from tourrank import (
     ParseError,
     RatingRangeError,
     ReviewMatrix,
+    ScoreVector,
     StructureError,
     category_means,
     load_reviews,
@@ -117,6 +118,16 @@ class TestReviewMatrixInvariants:
         m = ReviewMatrix(("a", "b"), np.ones((2, 1)))
         with pytest.raises(ValueError):
             m.values[0, 0] = 2.0
+
+    def test_ragged_rejected(self):
+        with pytest.raises(InputError):
+            ReviewMatrix(("a", "b"), [[1.0, 2.0], [3.0]])
+
+
+class TestScoreVectorInvariants:
+    def test_ragged_rejected(self):
+        with pytest.raises(InputError):
+            ScoreVector(("a", "b"), [1.0, [2.0, 3.0]])
 
 
 class TestCategoryMeans:

@@ -295,6 +295,10 @@ class TestExtentVectorInvariants:
         with pytest.raises(InputError):
             ExtentVector(names, s)
 
+    def test_ragged_rejected(self):
+        with pytest.raises(InputError):
+            ExtentVector(("a", "b"), [(1, 2, 3), (1, 2)])
+
     def test_extents_are_read_only(self):
         e = ExtentVector(("a", "b"), [(1, 2, 3), (1, 2, 3)])
         with pytest.raises(ValueError):
@@ -312,6 +316,11 @@ class TestFuzzyPairwiseMatrixInvariants:
         f = np.ones((2, 2, 3))
         f[0, 1] = (1.0, 1.5, 2.0)
         f[1, 0] = (1.0, 1.5, 2.0)
+        with pytest.raises(InputError):
+            FuzzyPairwiseMatrix(("a", "b"), f)
+
+    def test_ragged_rejected(self):
+        f = [[(1, 1, 1), (1, 1, 1)], [(1, 1, 1), (1, 1)]]
         with pytest.raises(InputError):
             FuzzyPairwiseMatrix(("a", "b"), f)
 
