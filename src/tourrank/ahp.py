@@ -213,7 +213,9 @@ def evaluate_consistency(
     """Eigenvector weights plus the full consistency report for one matrix."""
     weights, lam = principal_eigenvector(p, tol=tol, max_iter=max_iter)
     n = p.order
-    ci = consistency_index(lam, n)
+    # lambda_max >= n for every positive reciprocal matrix, so a negative CI
+    # is rounding (-2e-16 on a rank-1 matrix); 0.0 first keeps -0.0 out too
+    ci = max(0.0, consistency_index(lam, n))
     cr, ok = consistency_ratio(ci, n, threshold)
     report = ConsistencyReport(
         lambda_max=lam, n=n, ci=ci, ri=random_index(n), cr=cr, consistent=ok

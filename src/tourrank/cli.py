@@ -4,7 +4,8 @@ Every subcommand is one pass: load the names config and the ratings CSV,
 compute, render. ``rank`` prints the method reports as a table, JSON or
 CSV; ``export-plotdata`` is ``rank --format csv`` with the columns
 method, alternative, weight, rank; ``validate`` prints the consistency
-diagnostics of the comparison matrix behind the data.
+diagnostics of the AHP report, computed as ``rank --method ahp`` computes
+it.
 
 Exit codes: 0 success, 1 input or parse error (a missing, unreadable or
 non-UTF-8 file, a malformed CSV, a ``--cr-threshold`` that is not a
@@ -25,10 +26,10 @@ import sys
 import warnings
 from typing import Sequence
 
-from .ahp import ConsistencyReport, build_pairwise, evaluate_consistency
+from .ahp import ConsistencyReport
 from .dataset import load_reviews
 from .errors import ConvergenceError, InputError
-from .ranking import METHODS, RankingReport, compare_methods, method_scores
+from .ranking import METHODS, RankingReport, compare_methods
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -177,19 +178,13 @@ def _run(args: argparse.Namespace) -> int:
             source = args.input
             with open(source, newline="", encoding="utf-8") as fh:
                 data = load_reviews(fh, delimiter=args.delimiter, names=names)
-            if args.command == "validate":
-                _, scores = method_scores(data, args.normalize)
-                _, report = evaluate_consistency(
-                    build_pairwise(scores), threshold=args.cr_threshold
-                )
-            else:
-                reports = compare_methods(
-                    data,
-                    methods=methods,
-                    score_mode=args.score_mode,
-                    normalize_scores=args.normalize,
-                    cr_threshold=args.cr_threshold,
-                )
+            reports = compare_methods(
+                data,
+                methods=methods,
+                score_mode=args.score_mode,
+                normalize_scores=args.normalize,
+                cr_threshold=args.cr_threshold,
+            )
     except OSError as exc:
         # str(exc) names the offending file (input or names config)
         print(f"error: cannot read input: {exc}", file=sys.stderr)
@@ -206,7 +201,7 @@ def _run(args: argparse.Namespace) -> int:
 
     try:
         if args.command == "validate":
-            _print_validation(report, args.cr_threshold)
+            _print_validation(reports[0].consistency, args.cr_threshold)
         elif args.format == "table":
             print("\n\n".join(_format_table(r) for r in reports))
         elif args.format == "json":
@@ -224,7 +219,7 @@ def _run(args: argparse.Namespace) -> int:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_INPUT
     if args.command == "validate":
-        return EXIT_OK if report.consistent else EXIT_INCONSISTENT
+        return EXIT_OK if reports[0].consistency.consistent else EXIT_INCONSISTENT
     return _gate(reports)
 
 
@@ -236,42 +231,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_INPUT)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--input", required=True, help="ratings CSV to process")
-    parser.add_argument(
-        "--method",
-        choices=["ahp", "fuzzy-ahp", "manual", "all"],
-        default="all",
-        help="which method(s) to run (default: all)",
-    )
-    parser.add_argument(
-        "--delimiter", default=",", help="field separator (default: ',')"
-    )
-    parser.add_argument(
-        "--normalize",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="SAW-normalize the mean scores before weighting",
-    )
-    parser.add_argument(
-        "--score-mode",
-        choices=["weight", "weight-times-mean"],
-        default="weight",
-        help="rank by weights alone or by weight x normalized mean",
-    )
-    parser.add_argument(
-        "--cr-threshold",
-        type=float,
-        default=0.1,
-        help="consistency-ratio gate (default: 0.1)",
-    )
-    parser.add_argument(
-        "--names-config",
-        default=None,
-        help="file of 'index=name' lines renaming rating columns (1-based)",
-    )
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="tourrank",
@@ -279,9 +238,51 @@ def _build_parser() -> argparse.ArgumentParser:
         "fuzzy-AHP, and a manual baseline.",
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
     p_rank = sub.add_parser("rank", help="rank alternatives")
-    _add_common(p_rank)
+    p_val = sub.add_parser("validate", help="check pairwise-matrix consistency")
+    p_plot = sub.add_parser(
+        "export-plotdata", help="emit long-format CSV of weights and ranks"
+    )
+
+    for p in (p_rank, p_val, p_plot):
+        # validate judges the AHP matrix alone, so it takes no method flags
+        ranks = p is not p_val
+        p.add_argument("--input", required=True, help="ratings CSV to process")
+        if ranks:
+            p.add_argument(
+                "--method",
+                choices=["ahp", "fuzzy-ahp", "manual", "all"],
+                default="all",
+                help="which method(s) to run (default: all)",
+            )
+        p.add_argument(
+            "--delimiter", default=",", help="field separator (default: ',')"
+        )
+        p.add_argument(
+            "--normalize",
+            action=argparse.BooleanOptionalAction,
+            default=True,
+            help="SAW-normalize the mean scores before weighting",
+        )
+        if ranks:
+            p.add_argument(
+                "--score-mode",
+                choices=["weight", "weight-times-mean"],
+                default="weight",
+                help="rank by weights alone or by weight x normalized mean",
+            )
+        p.add_argument(
+            "--cr-threshold",
+            type=float,
+            default=0.1,
+            help="consistency-ratio gate (default: 0.1)",
+        )
+        p.add_argument(
+            "--names-config",
+            default=None,
+            help="file of 'index=name' lines renaming rating columns (1-based)",
+        )
+
     p_rank.add_argument(
         "--format",
         choices=["table", "json", "csv"],
@@ -289,16 +290,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="output format (default: table)",
     )
     p_rank.set_defaults(columns=_RANK_COLUMNS)
-
-    p_val = sub.add_parser("validate", help="check pairwise-matrix consistency")
-    _add_common(p_val)
-
-    p_plot = sub.add_parser(
-        "export-plotdata", help="emit long-format CSV of weights and ranks"
-    )
-    _add_common(p_plot)
+    p_val.set_defaults(method="ahp", score_mode="weight")
     p_plot.set_defaults(format="csv", columns=_PLOT_COLUMNS)
-
     return parser
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import math
 import re
 import warnings
 from dataclasses import dataclass
@@ -202,33 +203,28 @@ def _one_record_per_line(lines: list[str]) -> bool:
     )
 
 
-def _ignore_id(_field: str) -> float:
-    return 0.0
-
-
 def _load_block(block: list[str], n_cols: int, delimiter: str) -> np.ndarray | None:
     """The block's ratings through numpy's C reader, or None if any check fails.
 
-    The converter on the id column makes loadtxt read every field, so a row
-    that is too long fails as one that is too short does. NaN fails the
-    range check, so non-finite ratings fail too.
+    loadtxt rejects a row with fewer than ``n_cols`` fields, so every row
+    it returns holds at least ``n_cols - 1`` delimiters; a block total of
+    exactly that many per row means no row is too long either (the blank
+    lines loadtxt skips hold none). NaN fails the range check, so
+    non-finite ratings fail too.
     """
     try:
-        a = np.loadtxt(
+        ratings = np.loadtxt(
             block,
             delimiter=delimiter,
             comments=None,
-            converters={0: _ignore_id},
+            usecols=range(1, n_cols),
             ndmin=2,
         )
     except ValueError:
         return None
-    if a.shape[0] == 0:
-        return np.empty((0, n_cols - 1))
-    ratings = a[:, 1:]
-    if a.shape[1] != n_cols or not np.all(
-        (ratings >= RATING_MIN) & (ratings <= RATING_MAX)
-    ):
+    if "".join(block).count(delimiter) != ratings.shape[0] * (n_cols - 1):
+        return None
+    if not np.all((ratings >= RATING_MIN) & (ratings <= RATING_MAX)):
         return None
     return ratings
 
@@ -257,7 +253,7 @@ def _parse_records(
                 raise ParseError(
                     f"not a number: {cell.strip()!r}", row=row_no, column=col_no
                 ) from None
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 raise ParseError(
                     f"not a finite number: {cell.strip()!r}",
                     row=row_no,

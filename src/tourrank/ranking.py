@@ -84,21 +84,6 @@ def mse(f: Sequence[float], y: Sequence[float]) -> float:
     return float(np.mean((fa - ya) ** 2))
 
 
-def method_scores(
-    data: ReviewMatrix, normalize_scores: bool = True
-) -> tuple[ScoreVector, ScoreVector]:
-    """The per-alternative mean ratings and the scores every method weights.
-
-    The scores are the means, SAW-normalized unless ``normalize_scores`` is
-    off. The consistency check of the CLI's ``validate`` goes through this
-    step too, so it judges the matrix the methods are built from.
-    """
-    means = category_means(data)
-    if not normalize_scores:
-        return means, means
-    return means, ScoreVector(means.alternatives, normalize(means.scores))
-
-
 def compare_methods(
     data: ReviewMatrix,
     *,
@@ -113,7 +98,8 @@ def compare_methods(
 
     All methods score the per-alternative mean ratings (normalized first
     unless ``normalize_scores`` is off; the methods are scale-invariant, so
-    this changes no ranking). Each report carries the ranked entries with
+    this changes no ranking, except where a ratio of two means lies on a
+    half step of the fuzzy scale). Each report carries the ranked entries with
     the raw means attached, the consistency diagnostics of the underlying
     crisp matrix (AHP branches; the fuzzy branch is gated on the same
     crisp matrix), and the MSE of its weights against the manual baseline.
@@ -132,7 +118,12 @@ def compare_methods(
     if not wanted:
         raise InputError("no methods requested")
 
-    means, scores = method_scores(data, normalize_scores)
+    means = category_means(data)
+    scores = (
+        ScoreVector(means.alternatives, normalize(means.scores))
+        if normalize_scores
+        else means
+    )
     if score_mode == "weight-times-mean":
         norm_means = scores.scores if normalize_scores else normalize(means.scores)
 

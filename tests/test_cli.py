@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -5,8 +6,11 @@ import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tourrank
 from tourrank.cli import main
@@ -207,6 +211,20 @@ class TestRankCommand:
         assert exc.value.code == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["rank", "--method", "all"], ["rank", "--format", "json"], ["validate"]],
+)
+def test_no_negative_zero_ci_without_normalize(capsys, travel_csv_path, argv):
+    # the fixture matrix is rank-1: lambda_max rounds to just below n there
+    code, out, err = run_cli(
+        capsys, *argv, "--input", str(travel_csv_path), "--no-normalize"
+    )
+    assert (code, err) == (0, "")
+    assert "CI" in out or '"ci"' in out
+    assert "-0" not in out
+
+
 class TestValidateCommand:
     def test_consistent_data_exit_0(self, capsys, travel_csv_path):
         code, out, _ = run_cli(capsys, "validate", "--input", str(travel_csv_path))
@@ -237,17 +255,31 @@ class TestValidateCommand:
         assert float(values["RI"]) == 1.49
         assert float(values["CR"]) == pytest.approx(0.0, abs=1e-9)
 
-    def test_all_zero_file_passes_with_both_warnings(self, capsys, tmp_path):
-        # rank rejects this file (no manual baseline exists); validate does not
+    def test_all_zero_file_exits_1_like_rank(self, capsys, tmp_path):
+        # validate computes through compare_methods, so no baseline means no report
         path = tmp_path / "zero.csv"
         path.write_text("id,a,b\nr1,0,0\n", encoding="utf-8")
         code, out, err = run_cli(capsys, "validate", "--input", str(path))
-        assert code == 0
-        assert "PASS" in out
+        assert (code, out) == (1, "")
         assert err.splitlines() == [
             "warning: all-zero column(s) 0 normalized to zeros",
-            "warning: 2 score(s) below 1e-06 floored before ratio construction",
+            "error: all scores are zero; no baseline exists",
         ]
+        assert run_cli(capsys, "rank", "--input", str(path)) == (code, out, err)
+
+    @pytest.mark.parametrize("flag", [["--method", "ahp"], ["--score-mode", "weight"]])
+    def test_method_flags_are_usage_errors(self, capsys, travel_csv_path, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--input", str(travel_csv_path), *flag])
+        assert exc.value.code == 1
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+    def test_help_lists_no_method_flags(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["validate", "--help"])
+        out = capsys.readouterr().out
+        assert "--input" in out
+        assert "--method" not in out and "--score-mode" not in out
 
 
 class TestExportPlotdata:
@@ -358,3 +390,86 @@ def test_closed_stdout_pipe_is_one_error_line(travel_csv_path, argv):
     assert len(lines) == 1 and lines[0].startswith("error: cannot write output")
     assert "Traceback" not in proc.stderr
     assert "Exception ignored" not in proc.stderr
+
+
+#: cells that reach every branch of the parser: out of range, non-finite,
+#: float()-only, quoted, empty, and not numbers at all
+FUZZ_CELLS = [
+    " 2 ", "4.01", "-1", "nan", "inf", "Infinity", "1_0", "\u0661", "",
+    '"3"', '"1\n2"', "x", "#", "\x00", "1e400",
+]
+FUZZ_RATINGS = ["0", "0.5", "1", "2.25", "3", "4"]
+FUZZ_DELIMITERS = [
+    ",", ";", '"', " ", "\t", ".", "0", "\x00", "\u00e9", "\n", "\r", "-",
+]
+FUZZ_FLAGS = {
+    "rank": [
+        "--format=table", "--format=json", "--format=csv", "--method=ahp",
+        "--method=fuzzy-ahp", "--method=manual", "--method=all",
+        "--score-mode=weight-times-mean",
+    ],
+    "validate": ["--method=ahp", "--score-mode=weight"],
+    "export-plotdata": ["--method=manual", "--score-mode=weight-times-mean"],
+}
+COMMON_FLAGS = [
+    "--no-normalize", "--normalize", "--cr-threshold=0.5", "--cr-threshold=1e-9",
+    "--cr-threshold=0", "--cr-threshold=x",
+]
+
+
+@st.composite
+def csv_bytes(draw, delimiter):
+    """Rows of ratings, often with bad cells and ragged rows, or arbitrary bytes."""
+    if draw(st.integers(0, 7)) == 0:
+        return draw(st.binary(max_size=120))
+    width = draw(st.integers(2, 6))
+    cell = st.sampled_from(FUZZ_RATINGS)
+    if draw(st.booleans()):
+        cell |= st.sampled_from(FUZZ_CELLS) | st.text(max_size=3)
+    row = st.lists(cell, min_size=width, max_size=width)
+    if draw(st.booleans()):
+        row |= st.lists(cell, max_size=6)
+    rows = draw(st.lists(row, max_size=6))
+    header = [f"c{i}" for i in range(width)]
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = "".join(delimiter.join(r) + end for r in [header, *rows])
+    tail = draw(st.binary(max_size=2)) if draw(st.integers(0, 7)) == 0 else b""
+    return text.encode("utf-8", "surrogatepass") + tail
+
+
+@st.composite
+def cli_cases(draw):
+    command = draw(st.sampled_from(sorted(FUZZ_FLAGS)))
+    delimiter = draw(
+        st.sampled_from(FUZZ_DELIMITERS) | st.characters() | st.text(max_size=2)
+    )
+    flag = st.sampled_from(FUZZ_FLAGS[command] + COMMON_FLAGS)
+    flags = draw(st.lists(flag, max_size=2))
+    names = draw(st.sampled_from([None, None, None, b"1=A\n", b"9=Z", b"x", b"\xff"]))
+    return command, delimiter, flags, draw(csv_bytes(delimiter)), names
+
+
+@given(cli_cases())
+@settings(max_examples=300, deadline=None)
+def test_no_input_escapes_the_exit_codes(case):
+    # the CLI contract: every input ends in exit 0, 1 or 2 with no traceback;
+    # exit 1 prints one error line on stderr and nothing on stdout
+    command, delimiter, flags, data, names = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp, "input.csv")
+        path.write_bytes(data)
+        argv = [command, "--input", str(path), f"--delimiter={delimiter}", *flags]
+        if names is not None:
+            pathlib.Path(tmp, "names.cfg").write_bytes(names)
+            argv.append(f"--names-config={tmp}/names.cfg")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # usage errors
+                code = exc.code
+    errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
+    assert code in (0, 1, 2)
+    assert len(errors) == (code == 1)
+    if code == 1:
+        assert out.getvalue() == ""

@@ -1,6 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tourrank import (
@@ -180,6 +182,47 @@ class TestCompareMethods:
             np.testing.assert_allclose(
                 [e.weight for e in a.entries], [e.weight for e in b.entries], atol=1e-9
             )
+
+    @given(
+        st.integers(2, 8).flatmap(
+            lambda n: st.lists(
+                st.lists(st.integers(0, 400), min_size=n, max_size=n),
+                min_size=1,
+                max_size=5,
+            )
+        )
+    )
+    # 0.6 / 0.4 is 1.5, a half step: normalized, the fuzzy weights move by 0.049
+    @example([[40, 60, 91]])
+    @settings(max_examples=200, deadline=None)
+    def test_normalize_changes_no_weight(self, reviews):
+        # Ratings on the 0.01 grid of the data, one list per reviewer. A
+        # nonzero mean is then at least 0.002, far above the absolute score
+        # floor of build_pairwise, which normalizing could otherwise cross.
+        values = np.array(reviews, dtype=float).T / 100
+        assume(values.any())
+        m = ReviewMatrix(tuple(f"alt{i}" for i in range(len(values))), values)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            on = compare_methods(m, normalize_scores=True)
+            off = compare_methods(m, normalize_scores=False)
+        # SAW division moves a mean ratio by an ulp, which can carry a ratio
+        # on a half step of the fuzzy scale to the other intensity; there the
+        # fuzzy weights may differ, and nothing else does
+        means = values.mean(axis=1)
+        ratio = means[means > 0][:, None] / means[means > 0][None, :]
+        half_step = np.any(
+            (ratio < 9) & (np.abs(ratio - np.floor(ratio) - 0.5) <= 1e-9 * ratio)
+        )
+        for a, b in zip(on, off):
+            if a.method == "fuzzy_ahp" and half_step:
+                continue
+            wa = {e.name: e.weight for e in a.entries}
+            wb = {e.name: e.weight for e in b.entries}
+            for name in wa:
+                assert wa[name] == pytest.approx(wb[name], abs=1e-12, rel=0)
+            # the orders agree, except among weights within 1e-12 of each other
+            assert np.all(np.diff([wb[e.name] for e in a.entries]) <= 1e-12)
 
     def test_weight_times_mean_mode(self):
         m = matrix_from_means([4.0, 2.0, 1.0])
