@@ -333,6 +333,32 @@ class TestExportPlotdata:
         assert rows == [[r[column] for column in header] for r in ranked]
 
 
+GOLDEN_DIR = pathlib.Path(__file__).parent / "data" / "golden"
+
+#: case -> (input fixture, argv before --input); each case has the files
+#: <case>.out, <case>.err and <case>.code under GOLDEN_DIR, written once
+#: from an earlier release and never regenerated
+GOLDEN = {
+    "rank-all-table": ("travel_csv_path", ["rank", "--method", "all"]),
+    "rank-all-json": ("travel_csv_path", ["rank", "--method", "all", "--format", "json"]),
+    "rank-all-csv": ("travel_csv_path", ["rank", "--method", "all", "--format", "csv"]),
+    "validate": ("travel_csv_path", ["validate"]),
+    "export-plotdata": ("travel_csv_path", ["export-plotdata"]),
+    "rank-inconsistent": ("inconsistent_csv", ["rank"]),
+}
+
+
+@pytest.mark.parametrize("case", list(GOLDEN))
+def test_output_matches_golden(capsys, request, case):
+    fixture, argv = GOLDEN[case]
+    path = request.getfixturevalue(fixture)
+    code, out, err = run_cli(capsys, *argv, "--input", str(path))
+    golden = GOLDEN_DIR / case
+    assert out == golden.with_suffix(".out").read_text(encoding="utf-8")
+    assert err == golden.with_suffix(".err").read_text(encoding="utf-8")
+    assert code == int(golden.with_suffix(".code").read_text(encoding="utf-8"))
+
+
 #: case -> (input bytes, names-config bytes or None, text the error must name)
 UNREADABLE = {
     "input-not-utf8": (b"id,a,b\nr1,\xff,1\n", None, "input.csv"),
