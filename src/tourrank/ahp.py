@@ -153,7 +153,9 @@ def principal_eigenvector(
     n = p.order
     x = np.full(n, 1.0 / n)
     for _ in range(max_iter):
-        y = a @ x
+        # a row-wise sum, unlike the BLAS a @ x, reduces every row the same
+        # way, so rows of tied scores get bitwise-equal weights
+        y = (a * x).sum(axis=1)
         x_next = y / y.sum()
         if np.max(np.abs(x_next - x)) < tol:
             lam = float(x_next @ (a @ x_next)) / float(x_next @ x_next)
@@ -204,14 +206,10 @@ def consistency_ratio(
 
 
 def evaluate_consistency(
-    p: PairwiseMatrix,
-    *,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    threshold: float = DEFAULT_CR_THRESHOLD,
+    p: PairwiseMatrix, *, threshold: float = DEFAULT_CR_THRESHOLD
 ) -> tuple[WeightVector, ConsistencyReport]:
     """Eigenvector weights plus the full consistency report for one matrix."""
-    weights, lam = principal_eigenvector(p, tol=tol, max_iter=max_iter)
+    weights, lam = principal_eigenvector(p)
     n = p.order
     # lambda_max >= n for every positive reciprocal matrix, so a negative CI
     # is rounding (-2e-16 on a rank-1 matrix); 0.0 first keeps -0.0 out too

@@ -182,7 +182,6 @@ def _run(args: argparse.Namespace) -> int:
                 data,
                 methods=methods,
                 score_mode=args.score_mode,
-                normalize_scores=args.normalize,
                 cr_threshold=args.cr_threshold,
             )
     except OSError as exc:
@@ -257,12 +256,6 @@ def _build_parser() -> argparse.ArgumentParser:
             )
         p.add_argument(
             "--delimiter", default=",", help="field separator (default: ',')"
-        )
-        p.add_argument(
-            "--normalize",
-            action=argparse.BooleanOptionalAction,
-            default=True,
-            help="SAW-normalize the mean scores before weighting",
         )
         if ranks:
             p.add_argument(

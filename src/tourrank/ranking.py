@@ -9,8 +9,6 @@ import numpy as np
 
 from .ahp import (
     DEFAULT_CR_THRESHOLD,
-    DEFAULT_MAX_ITER,
-    DEFAULT_TOL,
     ConsistencyReport,
     WeightVector,
     build_pairwise,
@@ -89,17 +87,13 @@ def compare_methods(
     *,
     methods: Sequence[str] = METHODS,
     score_mode: str = "weight",
-    normalize_scores: bool = True,
     cr_threshold: float = DEFAULT_CR_THRESHOLD,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
 ) -> list[RankingReport]:
     """Run the requested methods on one review matrix.
 
-    All methods score the per-alternative mean ratings (normalized first
-    unless ``normalize_scores`` is off; the methods are scale-invariant, so
-    this changes no ranking, except where a ratio of two means lies on a
-    half step of the fuzzy scale). Each report carries the ranked entries with
+    All methods score the SAW-normalized per-alternative mean ratings: each
+    mean divided by the largest, so the score floor of the pairwise build is
+    relative to the largest mean. Each report carries the ranked entries with
     the raw means attached, the consistency diagnostics of the underlying
     crisp matrix (AHP branches; the fuzzy branch is gated on the same
     crisp matrix), and the MSE of its weights against the manual baseline.
@@ -119,18 +113,12 @@ def compare_methods(
         raise InputError("no methods requested")
 
     means = category_means(data)
-    scores = (
-        ScoreVector(means.alternatives, normalize(means.scores))
-        if normalize_scores
-        else means
-    )
-    if score_mode == "weight-times-mean":
-        norm_means = scores.scores if normalize_scores else normalize(means.scores)
+    scores = ScoreVector(means.alternatives, normalize(means.scores))
 
     def finalize(wv: WeightVector) -> WeightVector:
         if score_mode == "weight":
             return wv
-        product = wv.w * norm_means
+        product = wv.w * scores.scores
         total = float(product.sum())
         if total <= 0:
             raise InputError("weight-times-mean scores are all zero")
@@ -142,9 +130,7 @@ def compare_methods(
     consistency: ConsistencyReport | None = None
     if "ahp" in wanted or "fuzzy_ahp" in wanted:
         pairwise = build_pairwise(scores)
-        ahp_w, consistency = evaluate_consistency(
-            pairwise, tol=tol, max_iter=max_iter, threshold=cr_threshold
-        )
+        ahp_w, consistency = evaluate_consistency(pairwise, threshold=cr_threshold)
         if "ahp" in wanted:
             weights["ahp"] = finalize(ahp_w)
         if "fuzzy_ahp" in wanted:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from tourrank import (
     ScoreVector,
     WeightVector,
     build_pairwise,
+    category_means,
     consistency_index,
     consistency_ratio,
     evaluate_consistency,
@@ -268,6 +271,19 @@ class TestConsistentRoundTrip:
         _, report = evaluate_consistency(build_pairwise(scores(*vals)))
         assert report.cr <= 1e-8
 
+
+    @pytest.mark.parametrize("source", ["fixture-means", "rounds-below-n"])
+    def test_rounding_ci_is_positive_zero(self, travel_matrix, source):
+        # rank-1 matrices of raw scores: lambda_max can round to just below
+        # n, and the CI must still come out as +0.0, not -0.0 or below zero
+        if source == "fixture-means":
+            s = category_means(travel_matrix)
+        else:
+            s = scores(0.5, 1.5, 2.5)
+            assert principal_eigenvector(build_pairwise(s))[1] < 3
+        _, report = evaluate_consistency(build_pairwise(s))
+        assert report.ci == 0.0
+        assert math.copysign(1, report.ci) == 1
 
 class TestWeightVectorInvariants:
     def test_must_sum_to_one(self):

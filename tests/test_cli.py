@@ -211,18 +211,21 @@ class TestRankCommand:
         assert exc.value.code == 1
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [["rank", "--method", "all"], ["rank", "--format", "json"], ["validate"]],
-)
-def test_no_negative_zero_ci_without_normalize(capsys, travel_csv_path, argv):
-    # the fixture matrix is rank-1: lambda_max rounds to just below n there
-    code, out, err = run_cli(
-        capsys, *argv, "--input", str(travel_csv_path), "--no-normalize"
-    )
-    assert (code, err) == (0, "")
-    assert "CI" in out or '"ci"' in out
-    assert "-0" not in out
+@pytest.mark.parametrize("flag", ["--normalize", "--no-normalize"])
+@pytest.mark.parametrize("command", ["rank", "validate", "export-plotdata"])
+def test_normalize_flags_are_usage_errors(capsys, travel_csv_path, command, flag):
+    # scores are always SAW-normalized; no flag turns that off or on
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--input", str(travel_csv_path), flag])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        f"error: unrecognized arguments: {flag}"
+    ]
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    usage = capsys.readouterr().out
+    assert "--normalize" not in usage and "--no-normalize" not in usage
 
 
 class TestValidateCommand:
@@ -314,15 +317,14 @@ class TestExportPlotdata:
         assert code == 1
         assert "no data rows" in err
 
-    @pytest.mark.parametrize("normalize", ["--normalize", "--no-normalize"])
     @pytest.mark.parametrize("score_mode", ["weight", "weight-times-mean"])
     @pytest.mark.parametrize("method", ["ahp", "fuzzy-ahp", "manual", "all"])
     def test_rows_are_rank_csv_rows_reordered(
-        self, capsys, travel_csv_path, method, score_mode, normalize
+        self, capsys, travel_csv_path, method, score_mode
     ):
         flags = (
             "--input", str(travel_csv_path),
-            "--method", method, "--score-mode", score_mode, normalize,
+            "--method", method, "--score-mode", score_mode,
         )
         code, out, err = run_cli(capsys, "rank", "--format", "csv", *flags)
         plot_code, plot_out, plot_err = run_cli(capsys, "export-plotdata", *flags)
