@@ -317,14 +317,28 @@ class TestExportPlotdata:
         assert code == 1
         assert "no data rows" in err
 
+    @pytest.mark.parametrize("removed_flag", ["--normalize", "--no-normalize"])
     @pytest.mark.parametrize("score_mode", ["weight", "weight-times-mean"])
     @pytest.mark.parametrize("method", ["ahp", "fuzzy-ahp", "manual", "all"])
     def test_rows_are_rank_csv_rows_reordered(
-        self, capsys, travel_csv_path, method, score_mode
+        self, capsys, travel_csv_path, method, score_mode, removed_flag
     ):
         flags = (
             "--input", str(travel_csv_path),
             "--method", method, "--score-mode", score_mode,
+        )
+        # both spellings of the former score switch: the two commands reject
+        # them alike, and without them their rows agree
+        errors = []
+        for command in (["rank", "--format", "csv"], ["export-plotdata"]):
+            with pytest.raises(SystemExit) as exc:
+                main([*command, *flags, removed_flag])
+            lines = capsys.readouterr().err.splitlines()
+            errors.append(
+                (exc.value.code, [line for line in lines if line.startswith("error:")])
+            )
+        assert errors[0] == errors[1] == (
+            1, [f"error: unrecognized arguments: {removed_flag}"]
         )
         code, out, err = run_cli(capsys, "rank", "--format", "csv", *flags)
         plot_code, plot_out, plot_err = run_cli(capsys, "export-plotdata", *flags)
