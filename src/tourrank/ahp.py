@@ -41,6 +41,8 @@ class PairwiseMatrix:
         a = _readonly(self.a)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise InputError("comparison matrix must be square")
+        if a.shape[0] == 0:
+            raise InputError("comparison matrix must have at least one row")
         if a.shape[0] != len(names):
             raise InputError(f"{len(names)} names for a {a.shape[0]}x{a.shape[0]} matrix")
         if not np.all(np.isfinite(a)) or np.any(a <= 0):

@@ -46,6 +46,9 @@ _SCALE = _readonly([
     (7 / 2, 4.0, 9 / 2),
 ])
 
+# _SCALE stacked on its inverses: row 9 + k-1 is the inverse of intensity k
+_TABLE = _readonly(np.concatenate([_SCALE, 1.0 / _SCALE[:, ::-1]]))
+
 
 def saaty_to_tfn(intensity: int) -> Tfn:
     """TFN for an integer comparison intensity in 1..9."""
@@ -85,6 +88,8 @@ class FuzzyPairwiseMatrix:
         if f.ndim != 3 or f.shape[2] != 3 or f.shape[0] != f.shape[1]:
             raise InputError("fuzzy matrix must have shape (n, n, 3)")
         n = f.shape[0]
+        if n == 0:
+            raise InputError("fuzzy matrix must have at least one row")
         if n != len(names):
             raise InputError(f"{len(names)} names for a {n}x{n} fuzzy matrix")
         _check_tfns(f)
@@ -126,23 +131,22 @@ class ExtentVector:
 def build_fuzzy_pairwise(p: PairwiseMatrix) -> FuzzyPairwiseMatrix:
     """Fuzzify a crisp comparison matrix through the intensity scale.
 
-    Each upper-triangle ratio is rounded to the nearest intensity, ties
-    up, and mapped to that intensity's TFN; a ratio below 1 is rounded
-    through its reciprocal and takes the inverse TFN, so both directions
-    agree. The lower triangle holds the exact inverses, the diagonal
+    Both cells of a pair read the pair's larger ratio, round it once to the
+    nearest intensity, ties up, and take that intensity's TFN: the cell
+    holding the larger ratio the TFN itself, the other its inverse. A ratio
+    within a relative 1e-9 of a half step counts as on it. The diagonal is
     (1,1,1).
     """
-    n = p.order
-    i, j = np.triu_indices(n, 1)
-    ratio = p.a[i, j]
-    below = ratio < 1.0
-    intensity = np.floor(np.where(below, 1.0 / ratio, ratio) + 0.5)
-    t = _SCALE[np.clip(intensity, 1, 9).astype(int) - 1]
-    t = np.where(below[:, None], 1.0 / t[:, ::-1], t)
-    f = np.ones((n, n, 3))
-    f[i, j] = t
-    f[j, i] = 1.0 / t[:, ::-1]
-    return FuzzyPairwiseMatrix(p.names, f)
+    a = p.a
+    # Scaling by 1 + 1e-9 lifts a ratio just below a half step to or past
+    # it, as if snapped onto it (one just above rounds up anyway). So float
+    # noise in the means cannot pick the intensity: in a mean of R ratings it
+    # is at most about R * eps (2e-12 at R = 20000), while two distinct
+    # ratios of one-decimal rating sums differ by at least about 1e-7,
+    # relative.
+    ratio = np.maximum(a, a.T) * (1 + 1e-9)
+    k = np.clip(np.floor(ratio + 0.5), 1, 9).astype(int)
+    return FuzzyPairwiseMatrix(p.names, _TABLE[k - 1 + 9 * (a < a.T)])
 
 
 def synthetic_extents(fp: FuzzyPairwiseMatrix) -> ExtentVector:
@@ -152,9 +156,8 @@ def synthetic_extents(fp: FuzzyPairwiseMatrix) -> ExtentVector:
     (rowsum_l / total_u, rowsum_m / total_m, rowsum_u / total_l).
     """
     rows = fp.f.sum(axis=1)
+    # a validated fuzzy matrix is non-empty and positive, so total > 0
     total = rows.sum(axis=0)
-    if total[0] <= 0:
-        raise InputError("total fuzzy sum must be positive")
     return ExtentVector(fp.names, rows / total[::-1])
 
 

@@ -23,6 +23,11 @@ METHODS = ("ahp", "fuzzy_ahp", "manual")
 
 SCORE_MODES = ("weight", "weight-times-mean")
 
+#: Largest number of alternatives the ahp and fuzzy_ahp methods accept. Their
+#: n x n builds need over 100 B * n^2 of memory (about 1 GB at n = 3000), so
+#: a wider file is refused before any of it is taken.
+MAX_ALTERNATIVES = 3000
+
 
 @dataclass(frozen=True)
 class RankEntry:
@@ -102,6 +107,9 @@ def compare_methods(
 
     ``score_mode`` "weight" ranks by the method weights themselves;
     "weight-times-mean" re-normalizes weight x SAW-normalized mean.
+
+    The ahp and fuzzy_ahp methods refuse more than :data:`MAX_ALTERNATIVES`
+    alternatives with an :class:`InputError`.
     """
     if score_mode not in SCORE_MODES:
         raise InputError(f"unknown score_mode {score_mode!r}; expected {SCORE_MODES}")
@@ -111,6 +119,12 @@ def compare_methods(
     wanted = tuple(m for m in METHODS if m in methods)
     if not wanted:
         raise InputError("no methods requested")
+    n = data.n_alternatives
+    if n > MAX_ALTERNATIVES and ("ahp" in wanted or "fuzzy_ahp" in wanted):
+        raise InputError(
+            f"{n} alternatives exceed the cap of {MAX_ALTERNATIVES} "
+            "for the ahp and fuzzy_ahp methods"
+        )
 
     means = category_means(data)
     scores = ScoreVector(means.alternatives, normalize(means.scores))

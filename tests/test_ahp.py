@@ -102,6 +102,10 @@ class TestPairwiseMatrixInvariants:
         with pytest.raises(InputError):
             PairwiseMatrix(("a", "b"), [[1.0, 2.0], [0.5]])
 
+    def test_empty_rejected(self):
+        with pytest.raises(InputError):
+            PairwiseMatrix((), np.empty((0, 0)))
+
 
 class TestPrincipalEigenvector:
     def test_consistent_matrix_recovers_weights(self):

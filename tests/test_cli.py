@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import tourrank
 from tourrank.cli import main
+from tourrank.ranking import MAX_ALTERNATIVES
 
 
 def run_cli(capsys, *argv):
@@ -209,6 +210,43 @@ class TestRankCommand:
         with pytest.raises(SystemExit) as exc:
             main(["rank"])  # --input missing
         assert exc.value.code == 1
+
+
+@pytest.fixture()
+def past_cap_csv(tmp_path):
+    # one reviewer, so the file is small; the cap is checked before any
+    # n x n matrix is built
+    n = MAX_ALTERNATIVES + 1
+    path = tmp_path / "past_cap.csv"
+    path.write_text(
+        "id," + ",".join(f"c{i}" for i in range(n)) + "\n"
+        "r1," + ",".join(["1.5"] * n) + "\n",
+        encoding="utf-8",
+    )
+    return path
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["rank"], ["validate"], ["export-plotdata", "--method", "fuzzy-ahp"]],
+    ids=["rank", "validate", "export-plotdata"],
+)
+def test_past_the_cap_is_one_error_line(capsys, past_cap_csv, argv):
+    code, out, err = run_cli(capsys, *argv, "--input", str(past_cap_csv))
+    assert code == 1
+    assert out == ""
+    assert err == (
+        f"error: {MAX_ALTERNATIVES + 1} alternatives exceed the cap of "
+        f"{MAX_ALTERNATIVES} for the ahp and fuzzy_ahp methods\n"
+    )
+
+
+def test_manual_needs_no_cap(capsys, past_cap_csv):
+    code, out, err = run_cli(
+        capsys, "rank", "--input", str(past_cap_csv), "--method", "manual"
+    )
+    assert code == 0, err
+    assert out.count("\n") == MAX_ALTERNATIVES + 4
 
 
 @pytest.mark.parametrize("flag", ["--normalize", "--no-normalize"])

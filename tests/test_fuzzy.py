@@ -116,6 +116,10 @@ class TestBuildFuzzyPairwise:
         assert build_fuzzy_pairwise(p).tfn(0, 1) == Tfn(0.5, 0.75, 1.0)
         p = PairwiseMatrix(("a", "b"), np.array([[1.0, 2.5], [1 / 2.5, 1.0]]))
         assert build_fuzzy_pairwise(p).tfn(0, 1) == Tfn(2 / 3, 1.0, 1.5)
+        # 0.6 / 0.4 is 1.4999999999999998: a half step up to rounding noise
+        p = PairwiseMatrix(("a", "b"), np.array([[1.0, 0.6 / 0.4], [0.4 / 0.6, 1.0]]))
+        assert build_fuzzy_pairwise(p).tfn(0, 1) == Tfn(0.5, 0.75, 1.0)
+        assert build_fuzzy_pairwise(p).tfn(1, 0) == Tfn(1.0, 4 / 3, 2.0)
 
     def test_sub_unit_ratio_uses_inverse_side(self):
         p = PairwiseMatrix(("a", "b"), np.array([[1.0, 0.25], [4.0, 1.0]]))
@@ -323,6 +327,10 @@ class TestFuzzyPairwiseMatrixInvariants:
         f = [[(1, 1, 1), (1, 1, 1)], [(1, 1, 1), (1, 1)]]
         with pytest.raises(InputError):
             FuzzyPairwiseMatrix(("a", "b"), f)
+
+    def test_empty_rejected(self):
+        with pytest.raises(InputError):
+            FuzzyPairwiseMatrix((), np.empty((0, 0, 3)))
 
     def test_unordered_entry_rejected(self):
         f = np.ones((2, 2, 3))

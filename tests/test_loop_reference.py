@@ -54,7 +54,11 @@ def loop_pairwise(vals):
 
 
 def _intensity(value):
-    # nearest scale intensity, ties rounded up
+    # nearest scale intensity, ties rounded up; a value within a relative
+    # 1e-9 of a half step counts as on it, so rounding noise cannot decide
+    half = math.floor(value) + 0.5
+    if abs(value - half) <= 1e-9 * half:
+        value = half
     return min(max(math.floor(value + 0.5), 1), 9)
 
 
@@ -87,6 +91,10 @@ _score = st.one_of(
     ).map(lambda t: t[0] * t[1] if t[2] else t[0] / t[1]),
     st.floats(0.0, 4.0),
     st.sampled_from([0.0, 1e-9]),  # floored to SCORE_FLOOR
+    # mean-like values on the rating grids, whose ratios hit half steps
+    # up to rounding noise (0.6 / 0.4 is 1.4999999999999998)
+    st.integers(0, 40).map(lambda k: k / 10),
+    st.integers(0, 400).map(lambda k: k / 100),
 )
 score_lists = st.lists(_score, min_size=2, max_size=12)
 
@@ -113,6 +121,7 @@ def test_build_pairwise_matches_loop(vals):
 
 @given(score_lists)
 @example([2.0, 3.0, 5.0, 0.8, 1.0])
+@example([0.6, 0.4, 0.91])
 @settings(max_examples=300, deadline=None)
 def test_build_fuzzy_pairwise_matches_loop(vals):
     p, _ = _built(vals)
