@@ -7,6 +7,7 @@ import math
 import re
 import warnings
 from dataclasses import dataclass
+from itertools import chain, islice
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -40,8 +41,8 @@ CANONICAL_CATEGORY_NAMES = (
 
 _GENERIC_HEADER = re.compile(r"^category\s*\d+$", re.IGNORECASE)
 
-#: Lines handed to one ``np.loadtxt`` call. Only a block that fails a check
-#: is parsed again by the per-cell loop, so a bad cell costs one block.
+#: Lines handed to one ``np.loadtxt`` call. The first block that fails a
+#: check is parsed again, with the rest of the source, by the per-cell loop.
 _BLOCK_LINES = 256
 
 
@@ -132,9 +133,11 @@ def load_reviews(
     ``names`` maps 1-based rating-column indices to replacement names and
     wins over both.
 
-    Cells are read as Python ``float()`` reads them. The body goes through
-    ``np.loadtxt`` in blocks of lines; a block that fails there, and a file
-    with quotes, is read cell by cell, which names the first bad cell.
+    Cells are read as Python ``float()`` reads them. The body is read from
+    ``source`` as it comes, in blocks of lines through ``np.loadtxt``. The
+    first block that fails a check, quotes included, and everything after
+    it are read cell by cell, which names the first bad cell; reading stops
+    there.
 
     Args:
         source: text stream or iterable of lines.
@@ -148,9 +151,8 @@ def load_reviews(
         ParseError: non-numeric cell, with its 1-based row/column.
         RatingRangeError: rating outside [0, 4].
     """
-    lines = list(source)
-    records = _records(csv.reader(lines, delimiter=delimiter))
-    header = next(records, None)
+    lines = iter(source)
+    header = next(_records(csv.reader(lines, delimiter=delimiter)), None)
     if header is None:
         raise StructureError("empty input: expected a header row")
     n_cols = len(header)
@@ -160,58 +162,51 @@ def load_reviews(
             f"got {n_cols} column(s)"
         )
 
-    if not _one_record_per_line(lines):
-        values = _parse_records(records, n_cols, 2)
-    else:
-        parts = [np.empty((0, n_cols - 1))]
-        with warnings.catch_warnings():
-            # a block of blank lines is valid and holds no rows
-            warnings.filterwarnings(
-                "ignore", "loadtxt: input contained no data", UserWarning
-            )
-            for start in range(1, len(lines), _BLOCK_LINES):
-                block = lines[start : start + _BLOCK_LINES]
-                ratings = _load_block(block, n_cols, delimiter)
-                if ratings is None:
-                    # the per-cell loop names the bad cell, or reads what
-                    # float() accepts and loadtxt does not (such as "1_0")
-                    rows = _records(csv.reader(block, delimiter=delimiter), start + 1)
-                    ratings = _parse_records(rows, n_cols, start + 1)
-                parts.append(ratings)
-        values = np.concatenate(parts)
+    parts = [np.empty((0, n_cols - 1))]
+    row_no = 2
+    with warnings.catch_warnings():
+        # a block of blank lines is valid and holds no rows
+        warnings.filterwarnings(
+            "ignore", "loadtxt: input contained no data", UserWarning
+        )
+        while block := list(islice(lines, _BLOCK_LINES)):
+            ratings = _load_block(block, n_cols, delimiter)
+            if ratings is None:
+                # the per-cell loop reads the rest: it names the first bad
+                # cell and follows a quoted field across lines
+                rest = csv.reader(chain(block, lines), delimiter=delimiter)
+                parts.append(_parse_records(_records(rest, row_no), n_cols, row_no))
+                break
+            parts.append(ratings)
+            row_no += len(block)
+    values = np.concatenate(parts)
+    del parts  # so ReviewMatrix's copy of values is the second, not the third
 
     if values.shape[0] == 0:
         raise StructureError("no data rows after the header")
     return ReviewMatrix(_resolve_names(header[1:], names), values.T)
 
 
-def _one_record_per_line(lines: list[str]) -> bool:
-    """Whether ``csv.reader`` reads each line as one record that loadtxt splits alike.
-
-    False when a line is not text, or the text holds a quote (a quoted field
-    may span lines), a NUL (which some ``csv`` versions reject), or a line
-    longer than the CSV field size limit.
-    """
-    try:
-        text = "".join(lines)
-    except TypeError:
-        return False
-    return (
-        '"' not in text
-        and "\x00" not in text
-        and max(map(len, lines), default=0) <= csv.field_size_limit()
-    )
-
-
 def _load_block(block: list[str], n_cols: int, delimiter: str) -> np.ndarray | None:
     """The block's ratings through numpy's C reader, or None if any check fails.
 
-    loadtxt rejects a row with fewer than ``n_cols`` fields, so every row
-    it returns holds at least ``n_cols - 1`` delimiters; a block total of
-    exactly that many per row means no row is too long either (the blank
-    lines loadtxt skips hold none). NaN fails the range check, so
-    non-finite ratings fail too.
+    The block must be lines of text that ``csv.reader`` reads one record
+    each and loadtxt splits alike: no quote (a quoted field may span lines),
+    no NUL (which some ``csv`` versions reject), and no line longer than the
+    CSV field size limit. loadtxt rejects a row with fewer than ``n_cols``
+    fields, so every row it returns holds at least ``n_cols - 1``
+    delimiters; a block total of exactly that many per row means no row is
+    too long either (the blank lines loadtxt skips hold none). NaN fails the
+    range check, so non-finite ratings fail too.
     """
+    try:
+        text = "".join(block)
+    except TypeError:
+        return None
+    if '"' in text or "\x00" in text:
+        return None
+    if max(map(len, block)) > csv.field_size_limit():
+        return None
     try:
         ratings = np.loadtxt(
             block,
@@ -222,7 +217,7 @@ def _load_block(block: list[str], n_cols: int, delimiter: str) -> np.ndarray | N
         )
     except ValueError:
         return None
-    if "".join(block).count(delimiter) != ratings.shape[0] * (n_cols - 1):
+    if text.count(delimiter) != ratings.shape[0] * (n_cols - 1):
         return None
     if not np.all((ratings >= RATING_MIN) & (ratings <= RATING_MAX)):
         return None

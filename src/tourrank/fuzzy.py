@@ -95,7 +95,11 @@ class FuzzyPairwiseMatrix:
         _check_tfns(f)
         if np.any(f[np.arange(n), np.arange(n)] != 1.0):
             raise InputError("diagonal entries must be (1, 1, 1)")
-        if np.max(np.abs(f[:, :, ::-1].transpose(1, 0, 2) * f - 1.0)) > 1e-9:
+        # one (n, n, 3) temporary: the product, then its distance from 1
+        off = f[:, :, ::-1].transpose(1, 0, 2) * f
+        off -= 1.0
+        np.abs(off, out=off)
+        if off.max() > 1e-9:
             raise InputError("lower triangle must hold the inverses of the upper")
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "f", f)

@@ -440,6 +440,17 @@ def test_unreadable_input_is_one_error_line(capsys, tmp_path, command, case):
     assert len(errors) == 1 and named in errors[0]
 
 
+def test_bad_cell_is_reported_before_a_later_bad_byte(capsys, tmp_path):
+    # reading stops at the bad cell, before the decoder reaches the byte
+    body = b"".join(b"r%d,1,2,3\n" % i for i in range(2, 10_000))
+    assert len(body) > 64 * 1024
+    path = tmp_path / "input.csv"
+    path.write_bytes(b"id,a,b,c\nr1,x,2,3\n" + body + b"r0,\xff,1,1\n")
+    code, out, err = run_cli(capsys, "rank", "--input", str(path))
+    assert (code, out) == (1, "")
+    assert err == "error: row 2, column 2: not a number: 'x'\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

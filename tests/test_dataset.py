@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from tourrank import (
     load_reviews,
     normalize,
 )
+from tourrank import dataset
 
 
 def _load(text, **kwargs):
@@ -95,6 +97,59 @@ class TestLoadReviews:
         assert travel_matrix.n_alternatives == 10
         assert travel_matrix.n_reviewers == 980
         assert travel_matrix.alternatives == CANONICAL_CATEGORY_NAMES
+
+
+
+def _generated_text(n_rows, n_cols, bad_last_row=False):
+    rng = np.random.default_rng(7)
+    cells = rng.integers(0, 41, size=(n_rows, n_cols)) / 10
+    lines = [",".join(["id"] + [f"c{j}" for j in range(n_cols)]) + "\n"]
+    lines += [f"r{i}," + ",".join(map(str, row)) + "\n" for i, row in enumerate(cells)]
+    if bad_last_row:
+        lines[-1] = f"r{n_rows - 1},x" + ",1" * (n_cols - 1) + "\n"
+    return "".join(lines)
+
+
+def _load_peak(text):
+    """``load_reviews`` on a stream of ``text``, and its tracemalloc peak in bytes."""
+    stream = io.StringIO(text)
+    tracemalloc.start()
+    try:
+        m = load_reviews(stream)
+    except ParseError:
+        m = None
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return m, peak
+
+
+class TestStreaming:
+    def test_stops_reading_at_the_first_bad_block(self):
+        drawn = 0
+
+        def source():
+            nonlocal drawn
+            for line in ["id,a,b,c\n", "r1,x,2,3\n"]:
+                drawn += 1
+                yield line
+            for i in range(100_000):
+                drawn += 1
+                yield f"r{i + 2},1,2,3\n"
+
+        with pytest.raises(ParseError, match=r"row 2, column 2"):
+            load_reviews(source())
+        assert drawn <= 2 * dataset._BLOCK_LINES + 1
+
+    def test_valid_stream_peaks_near_two_copies_of_the_ratings(self):
+        m, peak = _load_peak(_generated_text(20_000, 10))
+        assert m.values.shape == (10, 20_000)
+        assert peak <= 2.5 * m.values.nbytes
+
+    def test_bad_last_row_peaks_near_one_copy_of_the_ratings(self):
+        m, peak = _load_peak(_generated_text(20_000, 10, bad_last_row=True))
+        assert m is None
+        assert peak <= 1.5 * 20_000 * 10 * 8
 
 
 class TestReviewMatrixInvariants:

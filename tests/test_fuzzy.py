@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -327,6 +328,20 @@ class TestFuzzyPairwiseMatrixInvariants:
         f = [[(1, 1, 1), (1, 1, 1)], [(1, 1, 1), (1, 1)]]
         with pytest.raises(InputError):
             FuzzyPairwiseMatrix(("a", "b"), f)
+
+    def test_validation_holds_one_temporary(self):
+        # the read-only copy plus one (n, n, 3) temporary: 48 B per cell pair
+        n = 300
+        vals = np.random.default_rng(0).uniform(0.5, 4.0, n)
+        p = build_pairwise(scores_for_tests(vals))
+        f = np.array(build_fuzzy_pairwise(p).f)
+        tracemalloc.start()
+        try:
+            FuzzyPairwiseMatrix(p.names, f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 56 * n**2
 
     def test_empty_rejected(self):
         with pytest.raises(InputError):

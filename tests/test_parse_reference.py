@@ -161,6 +161,21 @@ HEADER = ["id,a,b,c\n"]
         pytest.param(HEADER + ["\n", "\r\n"], id="only-blank-rows"),
         pytest.param(["id,a\n", "r1,1\n"], id="two-columns"),
         pytest.param([], id="empty"),
+        pytest.param(
+            HEADER + ["r1,1,2,3\n", "r2,0,4,1\n", 'r3,"1",2,3\n', "r4,1,2,3\n"],
+            id="quote-in-third-line",
+        ),
+        pytest.param(HEADER + ["r1,x,2,3\n", 'r2,"1",2,3\n'], id="bad-cell-before-quote"),
+        pytest.param(['"id","a","b","c"\n', "r1,1,2,3\n", "r2,0,4,1\n"], id="quoted-header"),
+        pytest.param(['"i\n', 'd",a,b,c\n', "r1,1,2,3\n", "r2,9,2,3\n"], id="header-newline"),
+        pytest.param(
+            HEADER + ["r1,1,0_1,3\n", "r2,1,2,3\n", "r3,0,4,1\n", "r4,1,2,3\n"],
+            id="underscore-then-valid",
+        ),
+        pytest.param(
+            HEADER + ["r1,1,2,3\n", "r2,0,4,1\n", "r3\x00,1,2,3\n", "r4,1,2,3\n"],
+            id="nul-in-later-line",
+        ),
     ],
 )
 @pytest.mark.parametrize("block_lines", [1, 2, 3, 256])
