@@ -23,9 +23,9 @@ RANDOM_INDEX = (
 )
 
 DEFAULT_CR_THRESHOLD = 0.1
-DEFAULT_TOL = 1e-10
-DEFAULT_MAX_ITER = 1000
 
+_TOL = 1e-10
+_MAX_ITER = 1000
 _RECIPROCITY_TOL = 1e-9
 
 
@@ -133,40 +133,33 @@ def build_pairwise(s: ScoreVector) -> PairwiseMatrix:
     return PairwiseMatrix(s.alternatives, a)
 
 
-def principal_eigenvector(
-    p: PairwiseMatrix,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> tuple[WeightVector, float]:
+def principal_eigenvector(p: PairwiseMatrix) -> tuple[WeightVector, float]:
     """Dominant eigenvector by power iteration, plus its eigenvalue.
 
     Starts from the uniform vector and stops once successive sum-normalized
-    iterates agree to ``tol`` in max-norm; the eigenvalue is the Rayleigh
+    iterates agree to 1e-10 in max-norm; the eigenvalue is the Rayleigh
     quotient of the converged iterate.
 
     Raises:
-        ConvergenceError: iteration cap reached; carries the last iterate.
+        ConvergenceError: 1000 steps ran without converging; carries the
+            last iterate.
     """
-    if tol <= 0:
-        raise InputError("tol must be positive")
-    if max_iter < 1:
-        raise InputError("max_iter must be at least 1")
     a = p.a
     n = p.order
     x = np.full(n, 1.0 / n)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         # a row-wise sum, unlike the BLAS a @ x, reduces every row the same
         # way, so rows of tied scores get bitwise-equal weights
         y = (a * x).sum(axis=1)
         x_next = y / y.sum()
-        if np.max(np.abs(x_next - x)) < tol:
+        if np.max(np.abs(x_next - x)) < _TOL:
             lam = float(x_next @ (a @ x_next)) / float(x_next @ x_next)
             return WeightVector(p.names, x_next), lam
         x = x_next
     raise ConvergenceError(
-        f"power iteration did not converge within {max_iter} iterations",
+        f"power iteration did not converge within {_MAX_ITER} iterations",
         last_weights=x,
-        iterations=max_iter,
+        iterations=_MAX_ITER,
     )
 
 

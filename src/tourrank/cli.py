@@ -86,13 +86,11 @@ def _format_table(report: RankingReport) -> str:
             f"consistency: lambda_max={c.lambda_max:.4f} CI={c.ci:.4f} "
             f"RI={c.ri:.4f} CR={c.cr:.4f} [{verdict}]"
         )
-    if report.mse_vs_manual is not None:
-        lines.append(f"mse_vs_manual: {report.mse_vs_manual:.4f}")
+    lines.append(f"mse_vs_manual: {report.mse_vs_manual:.4f}")
     width = max(len("alternative"), *(len(e.name) for e in report.entries))
     lines.append(f"rank  {'alternative':<{width}}  weight  raw_score")
     for e in report.entries:
-        raw = f"{e.raw_score:9.4f}" if e.raw_score is not None else "        -"
-        lines.append(f"{e.rank:4d}  {e.name:<{width}}  {e.weight:.4f}  {raw}")
+        lines.append(f"{e.rank:4d}  {e.name:<{width}}  {e.weight:.4f}  {e.raw_score:9.4f}")
     return "\n".join(lines)
 
 
@@ -111,15 +109,13 @@ def _report_dict(report: RankingReport) -> dict:
     return {
         "method": report.method,
         "consistency": consistency,
-        "mse_vs_manual": (
-            None if report.mse_vs_manual is None else round(report.mse_vs_manual, 6)
-        ),
+        "mse_vs_manual": round(report.mse_vs_manual, 6),
         "entries": [
             {
                 "rank": e.rank,
                 "name": e.name,
                 "weight": round(e.weight, 6),
-                "raw_score": None if e.raw_score is None else round(e.raw_score, 6),
+                "raw_score": round(e.raw_score, 6),
             }
             for e in report.entries
         ],
@@ -136,7 +132,7 @@ def _write_csv(reports: list[RankingReport], columns: tuple[str, ...]) -> None:
                 "rank": e.rank,
                 "alternative": e.name,
                 "weight": f"{e.weight:.6f}",
-                "raw_score": "" if e.raw_score is None else f"{e.raw_score:.6f}",
+                "raw_score": f"{e.raw_score:.6f}",
             }
             writer.writerow([cells[c] for c in columns])
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 
 class InputError(ValueError):
     """Input data violates a contract (shape, domain, or value range)."""

@@ -34,7 +34,7 @@ class RankEntry:
     rank: int
     name: str
     weight: float
-    raw_score: float | None
+    raw_score: float
 
 
 @dataclass(frozen=True)
@@ -43,8 +43,8 @@ class RankingReport:
 
     method: str
     entries: tuple[RankEntry, ...]
+    mse_vs_manual: float
     consistency: ConsistencyReport | None = None
-    mse_vs_manual: float | None = None
 
 
 def manual_baseline(s: ScoreVector) -> WeightVector:
@@ -56,19 +56,20 @@ def manual_baseline(s: ScoreVector) -> WeightVector:
     return WeightVector(s.alternatives, scores / total)
 
 
-def rank(
-    w: WeightVector, raw_scores: Sequence[float] | None = None
-) -> tuple[RankEntry, ...]:
-    """Entries sorted by weight descending; ties keep original input order."""
-    if raw_scores is not None and len(raw_scores) != len(w.names):
+def rank(w: WeightVector, raw_scores: Sequence[float]) -> tuple[RankEntry, ...]:
+    """Entries sorted by weight, then raw score, descending; then input order.
+
+    The raw score breaks weight ties, so weights that round equal (means one
+    ulp apart can) still rank as the means do.
+    """
+    raw = np.asarray(raw_scores, dtype=float)
+    if raw.shape != w.w.shape:
         raise InputError("raw_scores length must match the weight vector")
-    order = sorted(range(len(w.names)), key=lambda i: (-w.w[i], i))
+    # lexsort is stable and sorts by its last key first
+    order = np.lexsort((-raw, -w.w))
     return tuple(
         RankEntry(
-            rank=pos + 1,
-            name=w.names[i],
-            weight=float(w.w[i]),
-            raw_score=None if raw_scores is None else float(raw_scores[i]),
+            rank=pos + 1, name=w.names[i], weight=float(w.w[i]), raw_score=float(raw[i])
         )
         for pos, i in enumerate(order)
     )
@@ -108,8 +109,8 @@ def compare_methods(
     ``score_mode`` "weight" ranks by the method weights themselves;
     "weight-times-mean" re-normalizes weight x SAW-normalized mean.
 
-    The ahp and fuzzy_ahp methods refuse more than :data:`MAX_ALTERNATIVES`
-    alternatives with an :class:`InputError`.
+    All-zero means, and more than :data:`MAX_ALTERNATIVES` alternatives for
+    the ahp and fuzzy_ahp methods, raise :class:`InputError`.
     """
     if score_mode not in SCORE_MODES:
         raise InputError(f"unknown score_mode {score_mode!r}; expected {SCORE_MODES}")
@@ -127,6 +128,8 @@ def compare_methods(
         )
 
     means = category_means(data)
+    if not means.scores.any():
+        raise InputError("all scores are zero; no baseline exists")
     scores = ScoreVector(means.alternatives, normalize(means.scores))
 
     def finalize(wv: WeightVector) -> WeightVector:
@@ -157,9 +160,9 @@ def compare_methods(
         reports.append(
             RankingReport(
                 method=method,
-                entries=rank(wv, raw_scores=means.scores),
-                consistency=consistency if method in ("ahp", "fuzzy_ahp") else None,
+                entries=rank(wv, means.scores),
                 mse_vs_manual=mse(wv.w, baseline.w),
+                consistency=consistency if method in ("ahp", "fuzzy_ahp") else None,
             )
         )
     return reports

@@ -129,19 +129,13 @@ class TestPrincipalEigenvector:
         assert lam == pytest.approx(3.0092027127, abs=1e-6)
 
     def test_non_convergence_carries_last_iterate(self):
-        a = np.array([[1.0, 2.0, 6.0], [0.5, 1.0, 4.0], [1 / 6, 0.25, 1.0]])
+        # a user-built matrix far off the 1/9..9 scale: the iterates cycle
+        a = np.array([[1.0, 1e4, 1 / 3], [1e-4, 1.0, 1e4], [3.0, 1e-4, 1.0]])
         p = PairwiseMatrix(("a", "b", "c"), a)
         with pytest.raises(ConvergenceError) as err:
-            principal_eigenvector(p, tol=1e-16, max_iter=2)
-        assert err.value.iterations == 2
+            principal_eigenvector(p)
+        assert err.value.iterations == 1000
         assert err.value.last_weights.shape == (3,)
-
-    def test_bad_controls_rejected(self):
-        p = PairwiseMatrix(("a", "b"), np.ones((2, 2)))
-        with pytest.raises(InputError):
-            principal_eigenvector(p, tol=0.0)
-        with pytest.raises(InputError):
-            principal_eigenvector(p, max_iter=0)
 
     @given(st.lists(st.floats(0.1, 1.0), min_size=2, max_size=6), st.randoms())
     @settings(max_examples=100, deadline=None)

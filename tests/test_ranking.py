@@ -52,28 +52,34 @@ class TestManualBaseline:
 
 class TestRank:
     def test_descending_by_weight(self):
-        entries = rank(WeightVector(("a", "b", "c"), np.array([0.2, 0.5, 0.3])))
+        w = WeightVector(("a", "b", "c"), np.array([0.2, 0.5, 0.3]))
+        entries = rank(w, [1.0, 1.0, 1.0])
         assert [e.name for e in entries] == ["b", "c", "a"]
         assert [e.rank for e in entries] == [1, 2, 3]
 
-    def test_tie_breaks_by_input_order(self):
-        entries = rank(WeightVector(("x", "y"), np.array([0.5, 0.5])))
+    def test_tie_with_equal_raw_scores_keeps_input_order(self):
+        entries = rank(WeightVector(("x", "y"), np.array([0.5, 0.5])), [2.0, 2.0])
         assert [e.name for e in entries] == ["x", "y"]
+
+    def test_tie_breaks_by_higher_raw_score(self):
+        w = WeightVector(("x", "y"), np.array([0.5, 0.5]))
+        entries = rank(w, [3.9999999999999996, 4.0])
+        assert [e.name for e in entries] == ["y", "x"]
 
     def test_raw_scores_attached_in_rank_order(self):
         w = WeightVector(("a", "b"), np.array([0.25, 0.75]))
-        entries = rank(w, raw_scores=[1.0, 3.0])
+        entries = rank(w, [1.0, 3.0])
         assert entries[0].name == "b" and entries[0].raw_score == 3.0
         assert entries[1].name == "a" and entries[1].raw_score == 1.0
 
     def test_raw_scores_length_checked(self):
         w = WeightVector(("a", "b"), np.array([0.5, 0.5]))
         with pytest.raises(InputError):
-            rank(w, raw_scores=[1.0])
+            rank(w, [1.0])
 
     def test_deterministic(self):
         w = WeightVector(("a", "b", "c"), np.array([0.4, 0.4, 0.2]))
-        assert rank(w) == rank(w)
+        assert rank(w, [1.0, 1.0, 0.5]) == rank(w, [1.0, 1.0, 0.5])
 
 
 class TestMse:
@@ -222,6 +228,7 @@ class TestCompareMethods:
         assert compare_methods(travel_matrix) == compare_methods(travel_matrix)
 
     @given(st.lists(st.floats(0.5, 4.0), min_size=2, max_size=8))
+    @example(means=[3.9999999999999996, 4.0])
     @settings(max_examples=50, deadline=None)
     def test_ahp_order_matches_manual_order(self, means):
         # all pairwise ratios stay inside [1/9, 9] for these means
