@@ -99,8 +99,6 @@ def build_pairwise(s: ScoreVector) -> PairwiseMatrix:
     reciprocity exact. Flooring and clamping each emit one warning.
     """
     scores = np.asarray(s.scores, dtype=float)
-    if not np.all(np.isfinite(scores)):
-        raise InputError("scores must be finite")
     n = scores.shape[0]
     if n < 2:
         raise InputError(f"need at least 2 alternatives, got {n}")

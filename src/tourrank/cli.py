@@ -43,7 +43,7 @@ _PLOT_COLUMNS = ("method", "alternative", "weight", "rank")
 def load_names_config(path: str) -> dict[int, str]:
     """Parse `index=name` lines; blank lines and # comments are skipped."""
     mapping: dict[int, str] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -175,10 +175,7 @@ def _run(args: argparse.Namespace) -> int:
             with open(source, newline="", encoding="utf-8") as fh:
                 data = load_reviews(fh, delimiter=args.delimiter, names=names)
             reports = compare_methods(
-                data,
-                methods=methods,
-                score_mode=args.score_mode,
-                cr_threshold=args.cr_threshold,
+                data, methods=methods, cr_threshold=args.cr_threshold
             )
     except OSError as exc:
         # str(exc) names the offending file (input or names config)
@@ -253,13 +250,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--delimiter", default=",", help="field separator (default: ',')"
         )
-        if ranks:
-            p.add_argument(
-                "--score-mode",
-                choices=["weight", "weight-times-mean"],
-                default="weight",
-                help="rank by weights alone or by weight x normalized mean",
-            )
         p.add_argument(
             "--cr-threshold",
             type=float,
@@ -279,7 +269,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="output format (default: table)",
     )
     p_rank.set_defaults(columns=_RANK_COLUMNS)
-    p_val.set_defaults(method="ahp", score_mode="weight")
+    p_val.set_defaults(method="ahp")
     p_plot.set_defaults(format="csv", columns=_PLOT_COLUMNS)
     return parser
 

@@ -309,6 +309,12 @@ def normalize(m: np.ndarray) -> np.ndarray:
     Accepts a matrix or a single vector (treated as one column). Columns
     whose maximum is 0 come back all-zero, with one
     :class:`DegenerateColumnWarning` naming them.
+
+    The pipeline calls this only on a vector of means with a positive
+    entry. The matrix path and the warning stay for library callers;
+    acceptance criterion 7
+    (``tests/test_acceptance.py::test_c7_normalization_properties``)
+    pins the matrix path.
     """
     arr = np.asarray(m, dtype=float)
     if arr.size == 0:

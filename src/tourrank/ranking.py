@@ -21,8 +21,6 @@ from .fuzzy import build_fuzzy_pairwise, fuzzy_weights, synthetic_extents
 #: Report order mirrors the method comparison table: ahp, fuzzy_ahp, manual.
 METHODS = ("ahp", "fuzzy_ahp", "manual")
 
-SCORE_MODES = ("weight", "weight-times-mean")
-
 #: Largest number of alternatives the ahp and fuzzy_ahp methods accept. Their
 #: n x n builds need over 100 B * n^2 of memory (about 1 GB at n = 3000), so
 #: a wider file is refused before any of it is taken.
@@ -92,28 +90,23 @@ def compare_methods(
     data: ReviewMatrix,
     *,
     methods: Sequence[str] = METHODS,
-    score_mode: str = "weight",
     cr_threshold: float = DEFAULT_CR_THRESHOLD,
 ) -> list[RankingReport]:
     """Run the requested methods on one review matrix.
 
     All methods score the SAW-normalized per-alternative mean ratings: each
     mean divided by the largest, so the score floor of the pairwise build is
-    relative to the largest mean. Each report carries the ranked entries with
-    the raw means attached, the consistency diagnostics of the underlying
-    crisp matrix (AHP branches; the fuzzy branch is gated on the same
-    crisp matrix), and the MSE of its weights against the manual baseline.
+    relative to the largest mean. Each method ranks by its own weights, and
+    its report carries the ranked entries with the raw means attached, the
+    consistency diagnostics of the underlying crisp matrix (AHP branches; the
+    fuzzy branch is gated on the same crisp matrix), and the MSE of its
+    weights against the manual baseline.
     An inconsistent matrix is reported with ``consistent=False``, never
     dropped.
-
-    ``score_mode`` "weight" ranks by the method weights themselves;
-    "weight-times-mean" re-normalizes weight x SAW-normalized mean.
 
     All-zero means, and more than :data:`MAX_ALTERNATIVES` alternatives for
     the ahp and fuzzy_ahp methods, raise :class:`InputError`.
     """
-    if score_mode not in SCORE_MODES:
-        raise InputError(f"unknown score_mode {score_mode!r}; expected {SCORE_MODES}")
     unknown = [m for m in methods if m not in METHODS]
     if unknown:
         raise InputError(f"unknown method(s) {unknown}; expected {METHODS}")
@@ -132,27 +125,18 @@ def compare_methods(
         raise InputError("all scores are zero; no baseline exists")
     scores = ScoreVector(means.alternatives, normalize(means.scores))
 
-    def finalize(wv: WeightVector) -> WeightVector:
-        if score_mode == "weight":
-            return wv
-        product = wv.w * scores.scores
-        total = float(product.sum())
-        if total <= 0:
-            raise InputError("weight-times-mean scores are all zero")
-        return WeightVector(wv.names, product / total)
-
-    baseline = finalize(manual_baseline(scores))
-
+    baseline = manual_baseline(scores)
     weights: dict[str, WeightVector] = {"manual": baseline}
     consistency: ConsistencyReport | None = None
     if "ahp" in wanted or "fuzzy_ahp" in wanted:
         pairwise = build_pairwise(scores)
         ahp_w, consistency = evaluate_consistency(pairwise, threshold=cr_threshold)
         if "ahp" in wanted:
-            weights["ahp"] = finalize(ahp_w)
+            weights["ahp"] = ahp_w
         if "fuzzy_ahp" in wanted:
-            fuzzy_w = fuzzy_weights(synthetic_extents(build_fuzzy_pairwise(pairwise)))
-            weights["fuzzy_ahp"] = finalize(fuzzy_w)
+            weights["fuzzy_ahp"] = fuzzy_weights(
+                synthetic_extents(build_fuzzy_pairwise(pairwise))
+            )
 
     reports = []
     for method in wanted:

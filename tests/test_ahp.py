@@ -59,14 +59,6 @@ class TestBuildPairwise:
             p = build_pairwise(scores(1.0, 0.0))
         assert p.a[0, 1] == 9.0  # 1 / 1e-6 clamps to the scale maximum
 
-    def test_non_finite_score_rejected(self):
-        # bypass ScoreVector validation to hit build_pairwise's own check
-        sv = ScoreVector.__new__(ScoreVector)
-        object.__setattr__(sv, "alternatives", ("a", "b"))
-        object.__setattr__(sv, "scores", np.array([1.0, np.inf]))
-        with pytest.raises(InputError):
-            build_pairwise(sv)
-
     @pytest.mark.filterwarnings("ignore::tourrank.ClampWarning")
     @given(positive_weights)
     @settings(max_examples=200, deadline=None)

@@ -172,6 +172,18 @@ class TestRankCommand:
         assert code == 0
         assert "Alpha" in out and "Beta" in out
 
+    def test_names_config_with_utf8_bom(self, capsys, two_equal_csv, tmp_path):
+        # Notepad and Excel save "UTF-8" files with a leading byte-order mark
+        cfg = tmp_path / "names.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbf1=Alpha\n")
+        code, out, err = run_cli(
+            capsys,
+            "rank", "--input", str(two_equal_csv),
+            "--method", "manual", "--names-config", str(cfg),
+        )
+        assert (code, err) == (0, "")
+        assert "Alpha" in out and "right" in out and "left" not in out
+
     def test_semicolon_delimiter(self, capsys, tmp_path):
         path = tmp_path / "semi.csv"
         path.write_text("id;a;b\nr1;1.0;3.0\n", encoding="utf-8")
@@ -249,21 +261,33 @@ def test_manual_needs_no_cap(capsys, past_cap_csv):
     assert out.count("\n") == MAX_ALTERNATIVES + 4
 
 
-@pytest.mark.parametrize("flag", ["--normalize", "--no-normalize"])
+@pytest.mark.parametrize(
+    "flag",
+    [
+        "--normalize",
+        "--no-normalize",
+        "--score-mode=weight",
+        "--score-mode=weight-times-mean",
+        "--score-mode weight",
+    ],
+)
 @pytest.mark.parametrize("command", ["rank", "validate", "export-plotdata"])
 def test_normalize_flags_are_usage_errors(capsys, travel_csv_path, command, flag):
-    # scores are always SAW-normalized; no flag turns that off or on
+    # scores are always SAW-normalized and every method ranks by its own
+    # weights; no flag switches either
     with pytest.raises(SystemExit) as exc:
-        main([command, "--input", str(travel_csv_path), flag])
+        main([command, "--input", str(travel_csv_path), *flag.split()])
     assert exc.value.code == 1
     err = capsys.readouterr().err
+    assert "Traceback" not in err
     assert [line for line in err.splitlines() if line.startswith("error:")] == [
         f"error: unrecognized arguments: {flag}"
     ]
     with pytest.raises(SystemExit):
         main([command, "--help"])
     usage = capsys.readouterr().out
-    assert "--normalize" not in usage and "--no-normalize" not in usage
+    for removed in ("--normalize", "--no-normalize", "--score-mode"):
+        assert removed not in usage
 
 
 class TestValidateCommand:
@@ -353,15 +377,11 @@ class TestExportPlotdata:
         assert "no data rows" in err
 
     @pytest.mark.parametrize("removed_flag", ["--normalize", "--no-normalize"])
-    @pytest.mark.parametrize("score_mode", ["weight", "weight-times-mean"])
     @pytest.mark.parametrize("method", ["ahp", "fuzzy-ahp", "manual", "all"])
     def test_rows_are_rank_csv_rows_reordered(
-        self, capsys, travel_csv_path, method, score_mode, removed_flag
+        self, capsys, travel_csv_path, method, removed_flag
     ):
-        flags = (
-            "--input", str(travel_csv_path),
-            "--method", method, "--score-mode", score_mode,
-        )
+        flags = ("--input", str(travel_csv_path), "--method", method)
         # both spellings of the former score switch: the two commands reject
         # them alike, and without them their rows agree
         errors = []
@@ -494,13 +514,13 @@ FUZZ_FLAGS = {
     "rank": [
         "--format=table", "--format=json", "--format=csv", "--method=ahp",
         "--method=fuzzy-ahp", "--method=manual", "--method=all",
-        "--score-mode=weight-times-mean",
     ],
-    "validate": ["--method=ahp", "--score-mode=weight"],
-    "export-plotdata": ["--method=manual", "--score-mode=weight-times-mean"],
+    "validate": ["--method=ahp"],
+    "export-plotdata": ["--method=manual"],
 }
 COMMON_FLAGS = [
-    "--no-normalize", "--normalize", "--cr-threshold=0.5", "--cr-threshold=1e-9",
+    "--no-normalize", "--normalize", "--score-mode=weight",
+    "--score-mode=weight-times-mean", "--cr-threshold=0.5", "--cr-threshold=1e-9",
     "--cr-threshold=0", "--cr-threshold=x",
 ]
 

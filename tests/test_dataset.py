@@ -184,6 +184,12 @@ class TestScoreVectorInvariants:
         with pytest.raises(InputError):
             ScoreVector(("a", "b"), [1.0, [2.0, 3.0]])
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, -0.5])
+    def test_non_finite_or_negative_rejected(self, bad):
+        # build_pairwise relies on this and has no finiteness check of its own
+        with pytest.raises(InputError, match="finite and non-negative"):
+            ScoreVector(("a", "b"), [1.0, bad])
+
 
 class TestCategoryMeans:
     def test_single_reviewer(self):

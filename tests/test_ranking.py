@@ -197,23 +197,9 @@ class TestCompareMethods:
         assert top.name == "Parks/Picnic Spots"
         assert top.raw_score == pytest.approx(3.1809, abs=1e-3)
 
-    def test_weight_times_mean_mode(self):
-        m = matrix_from_means([4.0, 2.0, 1.0])
-        reports = compare_methods(m, methods=("manual",), score_mode="weight-times-mean")
-        entries = reports[0].entries
-        # manual weights (4/7, 2/7, 1/7) times normalized means (1, .5, .25)
-        product = np.array([4 / 7 * 1.0, 2 / 7 * 0.5, 1 / 7 * 0.25])
-        np.testing.assert_allclose(
-            [e.weight for e in entries], product / product.sum(), atol=1e-12
-        )
-
     def test_unknown_method_rejected(self, travel_matrix):
         with pytest.raises(InputError):
             compare_methods(travel_matrix, methods=("topsis",))
-
-    def test_unknown_score_mode_rejected(self, travel_matrix):
-        with pytest.raises(InputError):
-            compare_methods(travel_matrix, score_mode="products")
 
     def test_inconsistent_data_flagged_not_dropped(self):
         # mean ratios saturate the scale clamp, breaking consistency
