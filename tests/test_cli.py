@@ -377,24 +377,26 @@ class TestExportPlotdata:
         assert "no data rows" in err
 
     @pytest.mark.parametrize("removed_flag", ["--normalize", "--no-normalize"])
+    @pytest.mark.parametrize("score_mode", ["weight", "weight-times-mean"])
     @pytest.mark.parametrize("method", ["ahp", "fuzzy-ahp", "manual", "all"])
     def test_rows_are_rank_csv_rows_reordered(
-        self, capsys, travel_csv_path, method, removed_flag
+        self, capsys, travel_csv_path, method, score_mode, removed_flag
     ):
         flags = ("--input", str(travel_csv_path), "--method", method)
-        # both spellings of the former score switch: the two commands reject
-        # them alike, and without them their rows agree
-        errors = []
-        for command in (["rank", "--format", "csv"], ["export-plotdata"]):
-            with pytest.raises(SystemExit) as exc:
-                main([*command, *flags, removed_flag])
-            lines = capsys.readouterr().err.splitlines()
-            errors.append(
-                (exc.value.code, [line for line in lines if line.startswith("error:")])
+        # the former normalize and score-mode switches: the two commands
+        # reject them alike, and without them their rows agree
+        for removed in ([removed_flag], ["--score-mode", score_mode]):
+            errors = []
+            for command in (["rank", "--format", "csv"], ["export-plotdata"]):
+                with pytest.raises(SystemExit) as exc:
+                    main([*command, *flags, *removed])
+                lines = capsys.readouterr().err.splitlines()
+                errors.append(
+                    (exc.value.code, [line for line in lines if line.startswith("error:")])
+                )
+            assert errors[0] == errors[1] == (
+                1, [f"error: unrecognized arguments: {' '.join(removed)}"]
             )
-        assert errors[0] == errors[1] == (
-            1, [f"error: unrecognized arguments: {removed_flag}"]
-        )
         code, out, err = run_cli(capsys, "rank", "--format", "csv", *flags)
         plot_code, plot_out, plot_err = run_cli(capsys, "export-plotdata", *flags)
         assert (plot_code, plot_err) == (code, err)
