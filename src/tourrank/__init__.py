@@ -39,13 +39,9 @@ from .errors import (
 from .fuzzy import (
     ExtentVector,
     FuzzyPairwiseMatrix,
-    Tfn,
     build_fuzzy_pairwise,
-    degree_of_possibility,
     fuzzy_weights,
-    saaty_to_tfn,
     synthetic_extents,
-    tfn_inverse,
 )
 from .ranking import (
     METHODS,
@@ -79,7 +75,6 @@ __all__ = [
     "ScoreFloorWarning",
     "ScoreVector",
     "StructureError",
-    "Tfn",
     "WeightVector",
     "build_fuzzy_pairwise",
     "build_pairwise",
@@ -87,7 +82,6 @@ __all__ = [
     "compare_methods",
     "consistency_index",
     "consistency_ratio",
-    "degree_of_possibility",
     "evaluate_consistency",
     "fuzzy_weights",
     "load_reviews",
@@ -97,7 +91,5 @@ __all__ = [
     "principal_eigenvector",
     "random_index",
     "rank",
-    "saaty_to_tfn",
     "synthetic_extents",
-    "tfn_inverse",
 ]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 
 class InputError(ValueError):
     """Input data violates a contract (shape, domain, or value range)."""

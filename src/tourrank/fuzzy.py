@@ -1,13 +1,11 @@
 """Triangular-fuzzy comparison scale, extent analysis, and possibility weights.
 
 Chang's extent analysis on arrays: a triangular fuzzy number (TFN) is a row
-(l, m, u), a fuzzy matrix (n, n, 3), the extents (n, 3). ``Tfn`` and its
-functions are the scalar reference of the same scale and formulas.
+(l, m, u), a fuzzy matrix (n, n, 3), the extents (n, 3).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,21 +13,6 @@ import numpy as np
 from .ahp import PairwiseMatrix, WeightVector
 from .dataset import _readonly
 from .errors import InputError
-
-
-@dataclass(frozen=True)
-class Tfn:
-    """Triangular fuzzy number (l, m, u) with l <= m <= u."""
-
-    l: float
-    m: float
-    u: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.l) and math.isfinite(self.m) and math.isfinite(self.u)):
-            raise InputError("TFN components must be finite")
-        if not self.l <= self.m <= self.u:
-            raise InputError(f"TFN requires l <= m <= u, got ({self.l}, {self.m}, {self.u})")
 
 
 # Comparison scale: row k-1 is the TFN of intensity k in 1..9. Intensity 1
@@ -48,20 +31,6 @@ _SCALE = _readonly([
 
 # _SCALE stacked on its inverses: row 9 + k-1 is the inverse of intensity k
 _TABLE = _readonly(np.concatenate([_SCALE, 1.0 / _SCALE[:, ::-1]]))
-
-
-def saaty_to_tfn(intensity: int) -> Tfn:
-    """TFN for an integer comparison intensity in 1..9."""
-    if intensity not in range(1, 10):
-        raise InputError(f"intensity {intensity!r} outside 1..9")
-    return Tfn(*_SCALE[int(intensity) - 1].tolist())
-
-
-def tfn_inverse(t: Tfn) -> Tfn:
-    """Invert components and reverse their order: (1/u, 1/m, 1/l)."""
-    if t.l <= 0:
-        raise InputError(f"cannot invert TFN with l <= 0: {t}")
-    return Tfn(1.0 / t.u, 1.0 / t.m, 1.0 / t.l)
 
 
 def _check_tfns(t: np.ndarray) -> None:
@@ -107,10 +76,6 @@ class FuzzyPairwiseMatrix:
     @property
     def order(self) -> int:
         return self.f.shape[0]
-
-    def tfn(self, i: int, j: int) -> Tfn:
-        l, m, u = self.f[i, j]
-        return Tfn(float(l), float(m), float(u))
 
 
 @dataclass(frozen=True)
@@ -165,28 +130,14 @@ def synthetic_extents(fp: FuzzyPairwiseMatrix) -> ExtentVector:
     return ExtentVector(fp.names, rows / total[::-1])
 
 
-def degree_of_possibility(m2: Tfn, m1: Tfn) -> float:
-    """Degree of possibility that m2 >= m1, in [0, 1].
-
-    1 when m2's peak reaches m1's; 0 when the supports are disjoint the
-    other way (m1.l >= m2.u); otherwise the height of the intersection
-    point, (m1.l - m2.u) / ((m2.m - m2.u) - (m1.m - m1.l)).
-    """
-    if m2.m >= m1.m:
-        return 1.0
-    if m1.l >= m2.u:
-        return 0.0
-    # the denominator is not 0 here: that needs m2.m == m2.u and m1.m == m1.l,
-    # so m1.l > m2.u, which the branch above has returned on
-    return (m1.l - m2.u) / ((m2.m - m2.u) - (m1.m - m1.l))
-
-
 def fuzzy_weights(e: ExtentVector) -> WeightVector:
     """Weights from minimum pairwise possibility degrees, sum-normalized.
 
-    d_i = min over j != i of V(S_i >= S_j), with V as in
-    :func:`degree_of_possibility`. The degrees never sum to 0: the extent
-    with the highest m has degree 1 against every other extent.
+    d_i = min over j != i of V(S_i >= S_j), the degree of possibility that
+    S_i = (l2, m2, u2) is at least S_j = (l1, m1, u1): 1 if m2 >= m1; else 0
+    if l1 >= u2; else the height of the intersection point,
+    (u2 - l1) / ((u2 - m2) + (m1 - l1)). The degrees never sum to 0: the
+    extent with the highest m has degree 1 against every other extent.
     """
     n = e.s.shape[0]
     if n < 2:

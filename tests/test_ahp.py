@@ -1,10 +1,13 @@
+import inspect
 import math
+import typing
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tourrank
 from tourrank import (
     ClampWarning,
     ConvergenceError,
@@ -128,6 +131,17 @@ class TestPrincipalEigenvector:
             principal_eigenvector(p)
         assert err.value.iterations == 1000
         assert err.value.last_weights.shape == (3,)
+
+    def test_public_annotations_resolve(self):
+        # ConvergenceError.__init__ names np.ndarray, so errors.py must import
+        # numpy; every public signature must resolve the same way
+        for name in tourrank.__all__:
+            obj = getattr(tourrank, name)
+            for target in (obj, getattr(obj, "__init__", None)):
+                if inspect.isclass(target) or inspect.isfunction(target):
+                    typing.get_type_hints(target)
+        hints = typing.get_type_hints(ConvergenceError.__init__)
+        assert hints["last_weights"] is np.ndarray
 
     @given(st.lists(st.floats(0.1, 1.0), min_size=2, max_size=6), st.randoms())
     @settings(max_examples=100, deadline=None)

@@ -1,5 +1,4 @@
 import tracemalloc
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,87 +11,74 @@ from tourrank import (
     InputError,
     PairwiseMatrix,
     ScoreVector,
-    Tfn,
     build_fuzzy_pairwise,
     build_pairwise,
-    degree_of_possibility,
     fuzzy_weights,
-    saaty_to_tfn,
     synthetic_extents,
-    tfn_inverse,
+)
+
+from reference import (
+    SCALE,
+    fuzzy_pairwise_array,
+    inverse,
+    oracle_fuzzy_weights,
+    possibility,
+    scale_tfn,
 )
 
 
 def scores_for_tests(vals):
     return ScoreVector(tuple(f"alt{i}" for i in range(len(vals))), np.array(vals))
 
-# the comparative scale, written out as exact rationals
-SCALE_TABLE = {
-    1: (1, 1, 1),
-    2: (Fraction(1, 2), Fraction(3, 4), 1),
-    3: (Fraction(2, 3), 1, Fraction(3, 2)),
-    4: (1, Fraction(3, 2), 2),
-    5: (Fraction(3, 2), 2, Fraction(5, 2)),
-    6: (2, Fraction(5, 2), 3),
-    7: (Fraction(5, 2), 3, Fraction(7, 2)),
-    8: (3, Fraction(7, 2), 4),
-    9: (Fraction(7, 2), 4, Fraction(9, 2)),
-}
+
+def built_pair(ratio):
+    """The (2, 2, 3) array that ``build_fuzzy_pairwise`` makes of one ratio."""
+    a = np.array([[1.0, ratio], [1.0 / ratio, 1.0]])
+    return build_fuzzy_pairwise(PairwiseMatrix(("a", "b"), a)).f
+
+
+def pair_weights(s1, s2):
+    """``fuzzy_weights`` of two extents, as floats.
+
+    The extent with the higher peak has degree 1, so the weights are
+    (d, 1) / (1 + d) in (lower, higher) order, d the lower one's degree.
+    """
+    return fuzzy_weights(ExtentVector(("a", "b"), [s1, s2])).w.tolist()
+
 
 tfns = st.tuples(
     st.floats(0.1, 10, allow_nan=False),
     st.floats(0.1, 10, allow_nan=False),
     st.floats(0.1, 10, allow_nan=False),
-).map(lambda t: Tfn(*sorted(t)))
+).map(lambda t: tuple(sorted(t)))
 
 
 class TestScale:
-    @pytest.mark.parametrize("intensity", list(SCALE_TABLE))
+    @pytest.mark.parametrize("intensity", list(SCALE))
     def test_real_values_exact(self, intensity):
-        t = saaty_to_tfn(intensity)
-        expected = SCALE_TABLE[intensity]
-        assert (t.l, t.m, t.u) == tuple(float(x) for x in expected)
+        assert tuple(built_pair(intensity)[0, 1]) == scale_tfn(intensity)
 
-    @pytest.mark.parametrize("intensity", [0, 10, -1])
-    def test_out_of_scale(self, intensity):
-        with pytest.raises(InputError):
-            saaty_to_tfn(intensity)
-
-    @pytest.mark.parametrize("intensity", list(SCALE_TABLE))
+    @pytest.mark.parametrize("intensity", list(SCALE))
     def test_inverse_product_identities(self, intensity):
-        t = saaty_to_tfn(intensity)
-        ti = tfn_inverse(t)
-        assert t.l * ti.u == pytest.approx(1.0, abs=1e-15)
-        assert t.m * ti.m == pytest.approx(1.0, abs=1e-15)
-        assert t.u * ti.l == pytest.approx(1.0, abs=1e-15)
+        f = built_pair(intensity)
+        (l, m, u), (il, im, iu) = f[0, 1], f[1, 0]
+        assert l * iu == pytest.approx(1.0, abs=1e-15)
+        assert m * im == pytest.approx(1.0, abs=1e-15)
+        assert u * il == pytest.approx(1.0, abs=1e-15)
 
 
 class TestTfnOps:
+    """The inverse cell that ``build_fuzzy_pairwise`` writes for a pair."""
+
     def test_inverse_of_row_two(self):
-        assert tfn_inverse(Tfn(0.5, 0.75, 1.0)) == Tfn(1.0, 4 / 3, 2.0)
+        assert tuple(built_pair(2.0)[1, 0]) == (1.0, 4 / 3, 2.0)
 
     def test_inverse_identity(self):
-        assert tfn_inverse(Tfn(1, 1, 1)) == Tfn(1, 1, 1)
+        assert tuple(built_pair(1.0)[1, 0]) == (1.0, 1.0, 1.0)
 
     def test_inverse_of_intensity_six(self):
-        t = tfn_inverse(Tfn(2.0, 2.5, 3.0))
-        assert (t.l, t.m, t.u) == pytest.approx((1 / 3, 2 / 5, 1 / 2), abs=1e-15)
-
-    def test_inverse_requires_positive(self):
-        with pytest.raises(InputError):
-            tfn_inverse(Tfn(0.0, 1.0, 2.0))
-
-    def test_ordering_enforced(self):
-        with pytest.raises(InputError):
-            Tfn(2.0, 1.0, 3.0)
-
-    @given(tfns)
-    @settings(max_examples=200, deadline=None)
-    def test_inverse_is_involution(self, t):
-        back = tfn_inverse(tfn_inverse(t))
-        assert back.l == pytest.approx(t.l, abs=1e-12)
-        assert back.m == pytest.approx(t.m, abs=1e-12)
-        assert back.u == pytest.approx(t.u, abs=1e-12)
+        t = tuple(built_pair(6.0)[1, 0])
+        assert t == pytest.approx((1 / 3, 2 / 5, 1 / 2), abs=1e-15)
 
 
 class TestBuildFuzzyPairwise:
@@ -104,41 +90,38 @@ class TestBuildFuzzyPairwise:
     def test_intensity_two_pair(self):
         p = PairwiseMatrix(("a", "b"), np.array([[1.0, 2.0], [0.5, 1.0]]))
         f = build_fuzzy_pairwise(p)
-        assert f.tfn(0, 1) == Tfn(0.5, 0.75, 1.0)
-        assert f.tfn(1, 0) == Tfn(1.0, 4 / 3, 2.0)
+        assert tuple(f.f[0, 1]) == (0.5, 0.75, 1.0)
+        assert tuple(f.f[1, 0]) == (1.0, 4 / 3, 2.0)
 
     def test_ratio_near_one_rounds_to_just_equal(self):
         p = PairwiseMatrix(("a", "b"), np.array([[1.0, 1.33], [1 / 1.33, 1.0]]))
         f = build_fuzzy_pairwise(p)
-        assert f.tfn(0, 1) == Tfn(1.0, 1.0, 1.0)
+        assert tuple(f.f[0, 1]) == (1.0, 1.0, 1.0)
 
     def test_half_ties_round_up(self):
         p = PairwiseMatrix(("a", "b"), np.array([[1.0, 1.5], [1 / 1.5, 1.0]]))
-        assert build_fuzzy_pairwise(p).tfn(0, 1) == Tfn(0.5, 0.75, 1.0)
+        assert tuple(build_fuzzy_pairwise(p).f[0, 1]) == (0.5, 0.75, 1.0)
         p = PairwiseMatrix(("a", "b"), np.array([[1.0, 2.5], [1 / 2.5, 1.0]]))
-        assert build_fuzzy_pairwise(p).tfn(0, 1) == Tfn(2 / 3, 1.0, 1.5)
+        assert tuple(build_fuzzy_pairwise(p).f[0, 1]) == (2 / 3, 1.0, 1.5)
         # 0.6 / 0.4 is 1.4999999999999998: a half step up to rounding noise
         p = PairwiseMatrix(("a", "b"), np.array([[1.0, 0.6 / 0.4], [0.4 / 0.6, 1.0]]))
-        assert build_fuzzy_pairwise(p).tfn(0, 1) == Tfn(0.5, 0.75, 1.0)
-        assert build_fuzzy_pairwise(p).tfn(1, 0) == Tfn(1.0, 4 / 3, 2.0)
+        assert tuple(build_fuzzy_pairwise(p).f[0, 1]) == (0.5, 0.75, 1.0)
+        assert tuple(build_fuzzy_pairwise(p).f[1, 0]) == (1.0, 4 / 3, 2.0)
 
     def test_sub_unit_ratio_uses_inverse_side(self):
         p = PairwiseMatrix(("a", "b"), np.array([[1.0, 0.25], [4.0, 1.0]]))
         f = build_fuzzy_pairwise(p)
-        assert f.tfn(0, 1) == tfn_inverse(saaty_to_tfn(4))
-        assert f.tfn(1, 0) == saaty_to_tfn(4)
+        assert tuple(f.f[0, 1]) == inverse(scale_tfn(4))
+        assert tuple(f.f[1, 0]) == scale_tfn(4)
 
     @pytest.mark.filterwarnings("ignore::tourrank.ClampWarning")
     @given(st.lists(st.floats(0.05, 1.0), min_size=2, max_size=6))
     @settings(max_examples=100, deadline=None)
     def test_lower_triangle_is_exact_inverse(self, vals):
-        f = build_fuzzy_pairwise(build_pairwise(scores_for_tests(vals)))
-        n = f.order
-        for i in range(n):
-            for j in range(n):
-                ti, tj = f.tfn(i, j), f.tfn(j, i)
-                assert ti.l * tj.u == pytest.approx(1.0, abs=1e-12)
-                assert ti.m * tj.m == pytest.approx(1.0, abs=1e-12)
+        f = build_fuzzy_pairwise(build_pairwise(scores_for_tests(vals))).f
+        # cell (i, j) against cell (j, i): l times u, and m times m
+        np.testing.assert_allclose(f[:, :, 0] * f[:, :, 2].T, 1.0, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(f[:, :, 1] * f[:, :, 1].T, 1.0, rtol=0, atol=1e-12)
 
 
 class TestSyntheticExtents:
@@ -176,54 +159,39 @@ class TestSyntheticExtents:
 
 
 class TestDegreeOfPossibility:
+    """Each branch of the possibility degree, seen in two-extent weights."""
+
     def test_self_comparison_is_one(self):
-        t = Tfn(1.0, 2.0, 3.0)
-        assert degree_of_possibility(t, t) == 1.0
+        t = (1.0, 2.0, 3.0)
+        assert pair_weights(t, t) == [0.5, 0.5]
 
     def test_higher_peak_is_one(self):
-        assert degree_of_possibility(Tfn(0, 5, 6), Tfn(1, 2, 3)) == 1.0
+        hi, lo = (0.5, 5.0, 6.0), (1.0, 2.0, 3.0)
+        w_hi, w_lo = pair_weights(hi, lo)
+        assert w_lo / w_hi == pytest.approx(possibility(lo, hi), abs=1e-15)
 
     def test_disjoint_supports_zero(self):
-        assert degree_of_possibility(Tfn(1, 2, 3), Tfn(4, 5, 6)) == 0.0
+        assert pair_weights((1, 2, 3), (4, 5, 6)) == [0.0, 1.0]
 
     def test_touching_supports_zero(self):
-        assert degree_of_possibility(Tfn(1, 2, 3), Tfn(3, 5, 6)) == 0.0
+        assert pair_weights((1, 2, 3), (3, 5, 6)) == [0.0, 1.0]
 
     def test_worked_intersection_case(self):
-        v = degree_of_possibility(Tfn(0.5, 1.0, 2.5), Tfn(1.0, 2.0, 3.0))
-        assert v == pytest.approx(0.6, abs=1e-12)
+        w_lo, w_hi = pair_weights((0.5, 1.0, 2.5), (1.0, 2.0, 3.0))
+        assert w_lo / w_hi == pytest.approx(0.6, abs=1e-12)
 
     @given(tfns, tfns)
     @settings(max_examples=500, deadline=None)
     def test_bounded_and_one_direction_full(self, a, b):
-        vab = degree_of_possibility(a, b)
-        vba = degree_of_possibility(b, a)
-        assert 0.0 <= vab <= 1.0
-        assert 0.0 <= vba <= 1.0
-        assert max(vab, vba) == 1.0
-
-
-def oracle_fuzzy_weights(extents):
-    """Exhaustive possibility-degree weighting, kept free of the library path."""
-    n = len(extents)
-    degrees = []
-    for i in range(n):
-        best = None
-        for j in range(n):
-            if j == i:
-                continue
-            l2, m2, u2 = extents[i]
-            l1, m1, u1 = extents[j]
-            if m2 >= m1:
-                v = 1.0
-            elif l1 >= u2:
-                v = 0.0
-            else:
-                v = (l1 - u2) / ((m2 - u2) - (m1 - l1))
-            best = v if best is None else min(best, v)
-        degrees.append(best)
-    total = sum(degrees)
-    return [d / total for d in degrees]
+        w = pair_weights(a, b)
+        assert all(0.0 <= x <= 1.0 for x in w)
+        if a[1] == b[1]:
+            assert w == [0.5, 0.5]
+            return
+        (lo, w_lo), (hi, w_hi) = sorted(zip((a, b), w), key=lambda sw: sw[0][1])
+        assert w_lo / w_hi == pytest.approx(possibility(lo, hi), abs=1e-15)
+        if hi[0] >= lo[2]:
+            assert (w_lo, w_hi) == (0.0, 1.0)
 
 
 class TestFuzzyWeights:
@@ -250,18 +218,7 @@ class TestFuzzyWeights:
     @settings(max_examples=200, deadline=None)
     def test_matches_exhaustive_oracle(self, pair_specs):
         n = next(k for k in range(2, 6) if k * (k - 1) // 2 >= len(pair_specs))
-        f = np.ones((n, n, 3))
-        specs = iter(pair_specs)
-        for i in range(n):
-            for j in range(i + 1, n):
-                intensity, flip = next(specs, (1, False))
-                t = saaty_to_tfn(intensity)
-                if flip:
-                    t = tfn_inverse(t)
-                ti = tfn_inverse(t)
-                f[i, j] = (t.l, t.m, t.u)
-                f[j, i] = (ti.l, ti.m, ti.u)
-        fp = FuzzyPairwiseMatrix(tuple("abcde"[:n]), f)
+        fp = FuzzyPairwiseMatrix(tuple("abcde"[:n]), fuzzy_pairwise_array(n, pair_specs))
         e = synthetic_extents(fp)
         got = fuzzy_weights(e).w
         want = oracle_fuzzy_weights(e.s.tolist())

@@ -1,82 +1,19 @@
-"""The array builders against per-pair reference loops built on the scalar TFN API.
+"""The array builders against the per-pair reference loops of ``reference``.
 
 The references are the pair-by-pair formulations of ``build_pairwise`` and
 ``build_fuzzy_pairwise``; the library must match them bitwise and emit the
 same warnings.
 """
 
-import math
 import warnings
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tourrank import (
-    PairwiseMatrix,
-    ScoreVector,
-    build_fuzzy_pairwise,
-    build_pairwise,
-    saaty_to_tfn,
-    tfn_inverse,
-)
-from tourrank.ahp import SAATY_MAX, SAATY_MIN, SCORE_FLOOR
+from tourrank import PairwiseMatrix, ScoreVector, build_fuzzy_pairwise, build_pairwise
 
-
-def loop_pairwise(vals):
-    """Comparison matrix and warning texts of ``build_pairwise``, pair by pair."""
-    scores = np.array(vals, dtype=float)
-    n = scores.shape[0]
-    messages = []
-    floored = scores < SCORE_FLOOR
-    if floored.any():
-        messages.append(
-            f"{int(floored.sum())} score(s) below {SCORE_FLOOR} floored before "
-            "ratio construction"
-        )
-    scores = np.maximum(scores, SCORE_FLOOR)
-    a = np.ones((n, n))
-    clamped = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            ratio = scores[i] / scores[j]
-            if ratio > SAATY_MAX:
-                a[i, j], a[j, i] = SAATY_MAX, SAATY_MIN
-                clamped += 1
-            elif ratio < SAATY_MIN:
-                a[i, j], a[j, i] = SAATY_MIN, SAATY_MAX
-                clamped += 1
-            else:
-                a[i, j], a[j, i] = ratio, scores[j] / scores[i]
-    if clamped:
-        messages.append(f"{clamped} ratio pair(s) clamped to [1/9, 9]")
-    return a, messages
-
-
-def _intensity(value):
-    # nearest scale intensity, ties rounded up; a value within a relative
-    # 1e-9 of a half step counts as on it, so rounding noise cannot decide
-    half = math.floor(value) + 0.5
-    if abs(value - half) <= 1e-9 * half:
-        value = half
-    return min(max(math.floor(value + 0.5), 1), 9)
-
-
-def loop_fuzzy_pairwise(a):
-    """The (n, n, 3) array of ``build_fuzzy_pairwise``, pair by pair."""
-    n = a.shape[0]
-    f = np.ones((n, n, 3))
-    for i in range(n):
-        for j in range(i + 1, n):
-            value = float(a[i, j])
-            if value >= 1.0:
-                t = saaty_to_tfn(_intensity(value))
-            else:
-                t = tfn_inverse(saaty_to_tfn(_intensity(1.0 / value)))
-            ti = tfn_inverse(t)
-            f[i, j] = (t.l, t.m, t.u)
-            f[j, i] = (ti.l, ti.m, ti.u)
-    return f
+from reference import loop_fuzzy_pairwise, loop_pairwise
 
 
 #: exact multiples of a power-of-two base: ties, half-ties (ratios 1.5,

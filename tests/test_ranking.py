@@ -1,8 +1,9 @@
+import io
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tourrank import (
@@ -12,6 +13,7 @@ from tourrank import (
     ScoreVector,
     WeightVector,
     compare_methods,
+    load_reviews,
     manual_baseline,
     mse,
     rank,
@@ -113,6 +115,20 @@ def matrix_from_means(means):
     return ReviewMatrix(names, np.array(means, dtype=float)[:, None])
 
 
+@st.composite
+def rating_files(draw):
+    """Reviewer rows of ratings on the 0.1 grid, 2..15 columns, 1..29 rows."""
+    reviewers = draw(st.integers(1, 29))
+    columns = []
+    for _ in range(draw(st.integers(2, 15))):
+        # a column that few reviewers rated has a mean near 0, so the means
+        # can span more than 9x and clamp a pair
+        rated = draw(st.integers(0, reviewers))
+        cells = draw(st.lists(st.integers(1, 40), min_size=rated, max_size=rated))
+        columns.append(cells + [0] * (reviewers - rated))
+    return [[k / 10 for k in row] for row in zip(*columns)]
+
+
 class TestCompareMethods:
     def test_three_reports_in_canonical_order(self, travel_matrix):
         reports = compare_methods(travel_matrix)
@@ -209,6 +225,27 @@ class TestCompareMethods:
         assert by_method["ahp"].consistency.cr > 0.1
         assert not by_method["ahp"].consistency.consistent
         assert len(by_method["ahp"].entries) == 4
+
+    @given(rating_files())
+    @example([[4.0, 0.5, 0.06, 0.008]])  # the inconsistent_csv fixture
+    @settings(max_examples=200, deadline=None)
+    def test_gate_fails_only_through_clamped_pairs(self, rows):
+        # the ratio matrix of the means is rank-1, so perfectly consistent,
+        # until build_pairwise clamps a ratio to [1/9, 9]
+        assume(any(any(row) for row in rows))
+        header = ",".join(["reviewer"] + [f"c{j}" for j in range(len(rows[0]))])
+        lines = [f"r{i}," + ",".join(map(str, row)) for i, row in enumerate(rows)]
+        data = load_reviews(io.StringIO("\n".join([header, *lines]) + "\n"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            ahp, manual = compare_methods(data, methods=("ahp", "manual"))
+        clamped = any(issubclass(w.category, ClampWarning) for w in caught)
+        if not clamped:
+            ahp_w = {e.name: e.weight for e in ahp.entries}
+            assert max(abs(ahp_w[e.name] - e.weight) for e in manual.entries) <= 1e-12
+            assert ahp.consistency.cr <= 1e-12
+        if not ahp.consistency.consistent:
+            assert clamped
 
     def test_deterministic_reports(self, travel_matrix):
         assert compare_methods(travel_matrix) == compare_methods(travel_matrix)
