@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import ScoreVector, _readonly
+from .dataset import ScoreVector, _freeze
 from .errors import ClampWarning, ConvergenceError, InputError, ScoreFloorWarning
 
 SAATY_MIN = 1.0 / 9.0
@@ -37,22 +37,16 @@ class PairwiseMatrix:
     a: np.ndarray
 
     def __post_init__(self):
-        names = tuple(self.names)
-        a = _readonly(self.a)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise InputError("comparison matrix must be square")
+        _freeze(self, "names", "a", ("n", "n"))
+        a = self.a
         if a.shape[0] == 0:
             raise InputError("comparison matrix must have at least one row")
-        if a.shape[0] != len(names):
-            raise InputError(f"{len(names)} names for a {a.shape[0]}x{a.shape[0]} matrix")
         if not np.all(np.isfinite(a)) or np.any(a <= 0):
             raise InputError("comparison entries must be positive and finite")
         if np.any(np.diag(a) != 1.0):
             raise InputError("diagonal entries must be exactly 1")
         if np.max(np.abs(a * a.T - 1.0)) > _RECIPROCITY_TOL:
             raise InputError("matrix is not reciprocal: a[j][i] must equal 1/a[i][j]")
-        object.__setattr__(self, "names", names)
-        object.__setattr__(self, "a", a)
 
     @property
     def order(self) -> int:
@@ -67,16 +61,12 @@ class WeightVector:
     w: np.ndarray
 
     def __post_init__(self):
-        names = tuple(self.names)
-        w = _readonly(self.w)
-        if w.ndim != 1 or w.shape[0] != len(names):
-            raise InputError("weights must be 1-D with one entry per name")
+        _freeze(self, "names", "w", ("n",))
+        w = self.w
         if not np.all(np.isfinite(w)) or np.any(w < 0):
             raise InputError("weights must be finite and non-negative")
         if abs(float(w.sum()) - 1.0) > 1e-9:
             raise InputError(f"weights must sum to 1, got {w.sum()!r}")
-        object.__setattr__(self, "names", names)
-        object.__setattr__(self, "w", w)
 
 
 @dataclass(frozen=True)

@@ -56,6 +56,26 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _freeze(
+    value, names: str, array: str, shape: tuple[int | str | None, ...]
+) -> None:
+    """Store ``value``'s names as a tuple and its array as a read-only float copy.
+
+    ``shape`` states the array's shape: ``"n"`` is the number of names and
+    ``None`` any length. Any other shape is an InputError.
+    """
+    labels = tuple(getattr(value, names))
+    arr = _readonly(getattr(value, array))
+    want = tuple(len(labels) if d == "n" else d for d in shape)
+    if arr.ndim != len(want) or any(
+        d is not None and d != got for d, got in zip(want, arr.shape)
+    ):
+        spec = ", ".join("any" if d is None else str(d) for d in want)
+        raise InputError(f"{array} must have shape ({spec}), got {arr.shape}")
+    object.__setattr__(value, names, labels)
+    object.__setattr__(value, array, arr)
+
+
 @dataclass(frozen=True)
 class ReviewMatrix:
     """Ratings with one row per alternative and one column per reviewer."""
@@ -64,17 +84,13 @@ class ReviewMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        names = tuple(self.alternatives)
-        vals = _readonly(self.values)
-        if vals.ndim != 2:
-            raise InputError("values must be a 2-D matrix")
+        _freeze(self, "alternatives", "values", ("n", None))
+        names, vals = self.alternatives, self.values
         n, r = vals.shape
         if n < 2:
             raise InputError(f"need at least 2 alternatives, got {n}")
         if r < 1:
             raise InputError("need at least 1 reviewer column")
-        if len(names) != n:
-            raise InputError(f"{len(names)} names for {n} rows")
         if any(not name for name in names):
             raise InputError("alternative names must be non-empty")
         if len(set(names)) != len(names):
@@ -85,8 +101,6 @@ class ReviewMatrix:
             raise RatingRangeError(
                 f"ratings must lie in [{RATING_MIN}, {RATING_MAX}]"
             )
-        object.__setattr__(self, "alternatives", names)
-        object.__setattr__(self, "values", vals)
 
     @property
     def n_alternatives(self) -> int:
@@ -105,14 +119,9 @@ class ScoreVector:
     scores: np.ndarray
 
     def __post_init__(self):
-        names = tuple(self.alternatives)
-        scores = _readonly(self.scores)
-        if scores.ndim != 1 or scores.shape[0] != len(names):
-            raise InputError("scores must be 1-D with one entry per alternative")
-        if not np.all(np.isfinite(scores)) or np.any(scores < 0):
+        _freeze(self, "alternatives", "scores", ("n",))
+        if not np.all(np.isfinite(self.scores)) or np.any(self.scores < 0):
             raise InputError("scores must be finite and non-negative")
-        object.__setattr__(self, "alternatives", names)
-        object.__setattr__(self, "scores", scores)
 
 
 def load_reviews(
@@ -164,21 +173,16 @@ def load_reviews(
 
     parts = [np.empty((0, n_cols - 1))]
     row_no = 2
-    with warnings.catch_warnings():
-        # a block of blank lines is valid and holds no rows
-        warnings.filterwarnings(
-            "ignore", "loadtxt: input contained no data", UserWarning
-        )
-        while block := list(islice(lines, _BLOCK_LINES)):
-            ratings = _load_block(block, n_cols, delimiter)
-            if ratings is None:
-                # the per-cell loop reads the rest: it names the first bad
-                # cell and follows a quoted field across lines
-                rest = csv.reader(chain(block, lines), delimiter=delimiter)
-                parts.append(_parse_records(_records(rest, row_no), n_cols, row_no))
-                break
-            parts.append(ratings)
-            row_no += len(block)
+    while block := list(islice(lines, _BLOCK_LINES)):
+        ratings = _load_block(block, n_cols, delimiter)
+        if ratings is None:
+            # the per-cell loop reads the rest: it names the first bad
+            # cell and follows a quoted field across lines
+            rest = csv.reader(chain(block, lines), delimiter=delimiter)
+            parts.append(_parse_records(_records(rest, row_no), n_cols, row_no))
+            break
+        parts.append(ratings)
+        row_no += len(block)
     values = np.concatenate(parts)
     del parts  # so ReviewMatrix's copy of values is the second, not the third
 
@@ -203,6 +207,9 @@ def _load_block(block: list[str], n_cols: int, delimiter: str) -> np.ndarray | N
         text = "".join(block)
     except TypeError:
         return None
+    if not text.strip("\r\n"):
+        # blank lines hold no rows; loadtxt would warn that it found no data
+        return np.empty((0, n_cols - 1))
     if '"' in text or "\x00" in text:
         return None
     if max(map(len, block)) > csv.field_size_limit():
@@ -321,13 +328,12 @@ def normalize(m: np.ndarray) -> np.ndarray:
         raise InputError("cannot normalize an empty matrix")
     if not np.all(np.isfinite(arr)) or np.any(arr < 0):
         raise InputError("entries must be finite and non-negative")
-    is_vector = arr.ndim == 1
-    cols = arr.reshape(-1, 1) if is_vector else arr
-    if cols.ndim != 2:
+    if arr.ndim not in (1, 2):
         raise InputError("expected a vector or 2-D matrix")
-    maxes = cols.max(axis=0)
+    # a vector's maximum is 0-d, and flatnonzero names it column 0
+    maxes = arr.max(axis=0)
     zero = maxes == 0
-    out = cols / np.where(zero, 1.0, maxes)
+    out = arr / np.where(zero, 1.0, maxes)
     if zero.any():
         dead = ", ".join(str(i) for i in np.flatnonzero(zero))
         warnings.warn(
@@ -335,4 +341,4 @@ def normalize(m: np.ndarray) -> np.ndarray:
             DegenerateColumnWarning,
             stacklevel=2,
         )
-    return out[:, 0] if is_vector else out
+    return out

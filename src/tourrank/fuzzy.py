@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ahp import PairwiseMatrix, WeightVector
-from .dataset import _readonly
+from .dataset import _freeze, _readonly
 from .errors import InputError
 
 
@@ -52,15 +52,11 @@ class FuzzyPairwiseMatrix:
     f: np.ndarray
 
     def __post_init__(self):
-        names = tuple(self.names)
-        f = _readonly(self.f)
-        if f.ndim != 3 or f.shape[2] != 3 or f.shape[0] != f.shape[1]:
-            raise InputError("fuzzy matrix must have shape (n, n, 3)")
+        _freeze(self, "names", "f", ("n", "n", 3))
+        f = self.f
         n = f.shape[0]
         if n == 0:
             raise InputError("fuzzy matrix must have at least one row")
-        if n != len(names):
-            raise InputError(f"{len(names)} names for a {n}x{n} fuzzy matrix")
         _check_tfns(f)
         if np.any(f[np.arange(n), np.arange(n)] != 1.0):
             raise InputError("diagonal entries must be (1, 1, 1)")
@@ -70,12 +66,6 @@ class FuzzyPairwiseMatrix:
         np.abs(off, out=off)
         if off.max() > 1e-9:
             raise InputError("lower triangle must hold the inverses of the upper")
-        object.__setattr__(self, "names", names)
-        object.__setattr__(self, "f", f)
-
-    @property
-    def order(self) -> int:
-        return self.f.shape[0]
 
 
 @dataclass(frozen=True)
@@ -86,15 +76,8 @@ class ExtentVector:
     s: np.ndarray
 
     def __post_init__(self):
-        names = tuple(self.names)
-        s = _readonly(self.s)
-        if s.ndim != 2 or s.shape[1] != 3:
-            raise InputError("extents must have shape (n, 3)")
-        if s.shape[0] != len(names):
-            raise InputError("one extent per alternative required")
-        _check_tfns(s)
-        object.__setattr__(self, "names", names)
-        object.__setattr__(self, "s", s)
+        _freeze(self, "names", "s", ("n", 3))
+        _check_tfns(self.s)
 
 
 def build_fuzzy_pairwise(p: PairwiseMatrix) -> FuzzyPairwiseMatrix:

@@ -1,5 +1,7 @@
+import dataclasses
 import io
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,12 +12,16 @@ from hypothesis.extra.numpy import arrays
 from tourrank import (
     CANONICAL_CATEGORY_NAMES,
     DegenerateColumnWarning,
+    ExtentVector,
+    FuzzyPairwiseMatrix,
     InputError,
+    PairwiseMatrix,
     ParseError,
     RatingRangeError,
     ReviewMatrix,
     ScoreVector,
     StructureError,
+    WeightVector,
     category_means,
     load_reviews,
     normalize,
@@ -151,6 +157,23 @@ class TestStreaming:
         assert m is None
         assert peak <= 1.5 * 20_000 * 10 * 8
 
+    def test_leaves_the_callers_warning_filters_alone(self):
+        seen = []
+
+        def source():
+            yield "id,a,b\n"
+            # two whole blocks of blank lines, the case loadtxt warns about
+            for line in ["\n"] * (2 * dataset._BLOCK_LINES) + ["r1,1,2\n"]:
+                seen.append(list(warnings.filters))
+                yield line
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            before = list(warnings.filters)
+            m = load_reviews(source())
+        assert m.values.tolist() == [[1.0], [2.0]]
+        assert all(filters == before for filters in seen)
+
 
 class TestReviewMatrixInvariants:
     def test_duplicate_names_rejected(self):
@@ -189,6 +212,37 @@ class TestScoreVectorInvariants:
         # build_pairwise relies on this and has no finiteness check of its own
         with pytest.raises(InputError, match="finite and non-negative"):
             ScoreVector(("a", "b"), [1.0, bad])
+
+
+#: A valid array for each frozen value type; every one has names "a" and "b".
+_VALID = {
+    ReviewMatrix: [[1.0, 2.0, 0.5], [3.0, 4.0, 0.0]],
+    ScoreVector: [1.0, 2.5],
+    PairwiseMatrix: [[1.0, 2.0], [0.5, 1.0]],
+    WeightVector: [0.25, 0.75],
+    FuzzyPairwiseMatrix: [
+        [(1.0, 1.0, 1.0), (2 / 3, 1.0, 1.5)],
+        [(2 / 3, 1.0, 1.5), (1.0, 1.0, 1.0)],
+    ],
+    ExtentVector: [[0.2, 0.5, 0.8], [0.1, 0.5, 0.9]],
+}
+
+
+@pytest.mark.parametrize("kind", list(_VALID))
+def test_values_freeze_a_read_only_copy(kind):
+    names_field, array_field = (f.name for f in dataclasses.fields(kind))
+    given = np.array(_VALID[kind])
+    value = kind(["a", "b"], given)
+    stored = getattr(value, array_field)
+    assert not stored.flags.writeable
+    given[...] = 9.0
+    np.testing.assert_array_equal(stored, _VALID[kind])
+    assert getattr(value, names_field) == ("a", "b")
+    for field in (names_field, array_field):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, field, getattr(value, field))
+    with pytest.raises(InputError, match="must have shape"):
+        kind(["a", "b", "c"], _VALID[kind])
 
 
 class TestCategoryMeans:
