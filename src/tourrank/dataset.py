@@ -171,7 +171,18 @@ def load_reviews(
             f"got {n_cols} column(s)"
         )
 
-    parts = [np.empty((0, n_cols - 1))]
+    # the blocks live only in this expression: a caller that keeps the
+    # error does not keep them, and ReviewMatrix's copy is the second
+    values = np.concatenate(
+        [np.empty((0, n_cols - 1)), *_body(lines, n_cols, delimiter)]
+    )
+    if values.shape[0] == 0:
+        raise StructureError("no data rows after the header")
+    return ReviewMatrix(_resolve_names(header[1:], names), values.T)
+
+
+def _body(lines: Iterator[str], n_cols: int, delimiter: str) -> Iterator[np.ndarray]:
+    """The ratings of the body rows, one array per block of lines."""
     row_no = 2
     while block := list(islice(lines, _BLOCK_LINES)):
         ratings = _load_block(block, n_cols, delimiter)
@@ -179,16 +190,10 @@ def load_reviews(
             # the per-cell loop reads the rest: it names the first bad
             # cell and follows a quoted field across lines
             rest = csv.reader(chain(block, lines), delimiter=delimiter)
-            parts.append(_parse_records(_records(rest, row_no), n_cols, row_no))
-            break
-        parts.append(ratings)
+            yield _parse_records(_records(rest, row_no), n_cols, row_no)
+            return
+        yield ratings
         row_no += len(block)
-    values = np.concatenate(parts)
-    del parts  # so ReviewMatrix's copy of values is the second, not the third
-
-    if values.shape[0] == 0:
-        raise StructureError("no data rows after the header")
-    return ReviewMatrix(_resolve_names(header[1:], names), values.T)
 
 
 def _load_block(block: list[str], n_cols: int, delimiter: str) -> np.ndarray | None:
@@ -207,7 +212,7 @@ def _load_block(block: list[str], n_cols: int, delimiter: str) -> np.ndarray | N
         text = "".join(block)
     except TypeError:
         return None
-    if not text.strip("\r\n"):
+    if not text.lstrip("\r\n"):
         # blank lines hold no rows; loadtxt would warn that it found no data
         return np.empty((0, n_cols - 1))
     if '"' in text or "\x00" in text:

@@ -157,6 +157,19 @@ class TestStreaming:
         assert m is None
         assert peak <= 1.5 * 20_000 * 10 * 8
 
+    def test_a_kept_error_does_not_hold_the_parsed_rows(self):
+        stream = io.StringIO(_generated_text(20_000, 10, bad_last_row=True))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError) as kept:
+                load_reviews(stream)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept.value.row == 20_001
+        # the rows before the bad block take 20_000 * 10 * 8 bytes
+        assert held <= 0.1 * 20_000 * 10 * 8
+
     def test_leaves_the_callers_warning_filters_alone(self):
         seen = []
 
