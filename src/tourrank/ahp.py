@@ -39,8 +39,6 @@ class PairwiseMatrix:
     def __post_init__(self):
         _freeze(self, "names", "a", ("n", "n"))
         a = self.a
-        if a.shape[0] == 0:
-            raise InputError("comparison matrix must have at least one row")
         if not np.all(np.isfinite(a)) or np.any(a <= 0):
             raise InputError("comparison entries must be positive and finite")
         if np.any(np.diag(a) != 1.0):
@@ -88,12 +86,7 @@ def build_pairwise(s: ScoreVector) -> PairwiseMatrix:
     A ratio past the scale bound pins the pair to (9, 1/9), keeping
     reciprocity exact. Flooring and clamping each emit one warning.
     """
-    scores = np.asarray(s.scores, dtype=float)
-    n = scores.shape[0]
-    if n < 2:
-        raise InputError(f"need at least 2 alternatives, got {n}")
-
-    floored = scores < SCORE_FLOOR
+    floored = s.scores < SCORE_FLOOR
     if floored.any():
         warnings.warn(
             f"{int(floored.sum())} score(s) below {SCORE_FLOOR} floored before "
@@ -101,7 +94,7 @@ def build_pairwise(s: ScoreVector) -> PairwiseMatrix:
             ScoreFloorWarning,
             stacklevel=2,
         )
-    scores = np.maximum(scores, SCORE_FLOOR)
+    scores = np.maximum(s.scores, SCORE_FLOOR)
 
     # direct division on both sides keeps rows of tied scores bitwise
     # identical (and the diagonal exactly 1); reciprocity holds to ~1 ulp

@@ -61,10 +61,15 @@ def _freeze(
 ) -> None:
     """Store ``value``'s names as a tuple and its array as a read-only float copy.
 
-    ``shape`` states the array's shape: ``"n"`` is the number of names and
-    ``None`` any length. Any other shape is an InputError.
+    The names must be at least two distinct, non-empty names, given as a
+    sequence other than a ``str``. ``shape`` states the array's shape:
+    ``"n"`` is the number of names and ``None`` any length. Anything else
+    is an InputError.
     """
-    labels = tuple(getattr(value, names))
+    labels = getattr(value, names)
+    if isinstance(labels, str):
+        raise InputError(f"{names} must be a sequence of names, not a str")
+    labels = tuple(labels)
     arr = _readonly(getattr(value, array))
     want = tuple(len(labels) if d == "n" else d for d in shape)
     if arr.ndim != len(want) or any(
@@ -72,6 +77,12 @@ def _freeze(
     ):
         spec = ", ".join("any" if d is None else str(d) for d in want)
         raise InputError(f"{array} must have shape ({spec}), got {arr.shape}")
+    if len(labels) < 2:
+        raise InputError(f"need at least 2 alternatives, got {len(labels)}")
+    if not all(labels):
+        raise InputError("alternative names must be non-empty")
+    if len(set(labels)) != len(labels):
+        raise InputError("alternative names must be unique")
     object.__setattr__(value, names, labels)
     object.__setattr__(value, array, arr)
 
@@ -85,16 +96,9 @@ class ReviewMatrix:
 
     def __post_init__(self):
         _freeze(self, "alternatives", "values", ("n", None))
-        names, vals = self.alternatives, self.values
-        n, r = vals.shape
-        if n < 2:
-            raise InputError(f"need at least 2 alternatives, got {n}")
-        if r < 1:
+        vals = self.values
+        if vals.shape[1] < 1:
             raise InputError("need at least 1 reviewer column")
-        if any(not name for name in names):
-            raise InputError("alternative names must be non-empty")
-        if len(set(names)) != len(names):
-            raise InputError("alternative names must be unique")
         if not np.all(np.isfinite(vals)):
             raise InputError("ratings must be finite")
         if vals.min() < RATING_MIN or vals.max() > RATING_MAX:
@@ -159,7 +163,13 @@ def load_reviews(
             (such as a field over its size limit).
         ParseError: non-numeric cell, with its 1-based row/column.
         RatingRangeError: rating outside [0, 4].
+        InputError: ``source`` is a ``str``, which would read as one line
+            per character.
     """
+    if isinstance(source, str):
+        raise InputError(
+            "load_reviews takes a text stream or an iterable of lines, not a str"
+        )
     lines = iter(source)
     header = next(_records(csv.reader(lines, delimiter=delimiter)), None)
     if header is None:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ahp import PairwiseMatrix, WeightVector
+from .ahp import _RECIPROCITY_TOL, PairwiseMatrix, WeightVector
 from .dataset import _freeze, _readonly
 from .errors import InputError
 
@@ -55,8 +55,6 @@ class FuzzyPairwiseMatrix:
         _freeze(self, "names", "f", ("n", "n", 3))
         f = self.f
         n = f.shape[0]
-        if n == 0:
-            raise InputError("fuzzy matrix must have at least one row")
         _check_tfns(f)
         if np.any(f[np.arange(n), np.arange(n)] != 1.0):
             raise InputError("diagonal entries must be (1, 1, 1)")
@@ -64,7 +62,7 @@ class FuzzyPairwiseMatrix:
         off = f[:, :, ::-1].transpose(1, 0, 2) * f
         off -= 1.0
         np.abs(off, out=off)
-        if off.max() > 1e-9:
+        if off.max() > _RECIPROCITY_TOL:
             raise InputError("lower triangle must hold the inverses of the upper")
 
 
@@ -122,9 +120,6 @@ def fuzzy_weights(e: ExtentVector) -> WeightVector:
     (u2 - l1) / ((u2 - m2) + (m1 - l1)). The degrees never sum to 0: the
     extent with the highest m has degree 1 against every other extent.
     """
-    n = e.s.shape[0]
-    if n < 2:
-        raise InputError(f"need at least 2 extents, got {n}")
     l, m, u = e.s.T
     # row i is S_i (the m2 side), column j is S_j (the m1 side)
     m2, u2 = m[:, None], u[:, None]

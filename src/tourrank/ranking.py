@@ -47,11 +47,10 @@ class RankingReport:
 
 def manual_baseline(s: ScoreVector) -> WeightVector:
     """Sum-normalized scores: the reference the other methods compare against."""
-    scores = np.asarray(s.scores, dtype=float)
-    total = float(scores.sum())
+    total = float(s.scores.sum())
     if total <= 0:
         raise InputError("all scores are zero; no baseline exists")
-    return WeightVector(s.alternatives, scores / total)
+    return WeightVector(s.alternatives, s.scores / total)
 
 
 def rank(w: WeightVector, raw_scores: Sequence[float]) -> tuple[RankEntry, ...]:

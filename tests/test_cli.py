@@ -459,6 +459,34 @@ def test_unreadable_input_is_one_error_line(capsys, tmp_path, command, case):
     assert len(errors) == 1 and named in errors[0]
 
 
+#: case -> (input text, names-config text or None, the whole of stderr)
+BAD_NAMES = {
+    "repeated-header": (
+        "id,a,a\nr1,1,2\n", None, "error: alternative names must be unique\n"
+    ),
+    "config-repeats-a-name": (
+        "id,a,b\nr1,1,2\n", "1=x\n2=x\n", "error: alternative names must be unique\n"
+    ),
+    "blank-header": (
+        "id,a,\nr1,1,2\n", None, "error: alternative names must be non-empty\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_NAMES))
+@pytest.mark.parametrize("command", ["rank", "validate", "export-plotdata"])
+def test_bad_names_are_one_error_line(capsys, tmp_path, command, case):
+    text, names, error = BAD_NAMES[case]
+    path = tmp_path / "input.csv"
+    path.write_text(text, encoding="utf-8")
+    argv = [command, "--input", str(path)]
+    if names is not None:
+        cfg = tmp_path / "names.cfg"
+        cfg.write_text(names, encoding="utf-8")
+        argv += ["--names-config", str(cfg)]
+    assert run_cli(capsys, *argv) == (1, "", error)
+
+
 def test_bad_cell_is_reported_before_a_later_bad_byte(capsys, tmp_path):
     # reading stops at the bad cell, before the decoder reaches the byte
     body = b"".join(b"r%d,1,2,3\n" % i for i in range(2, 10_000))

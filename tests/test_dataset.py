@@ -89,6 +89,16 @@ class TestLoadReviews:
         with pytest.raises(InputError):
             _load("id,a,b\nr1,1,2\n", names={3: "x"})
 
+    @pytest.mark.parametrize(
+        "source", ["id,a,b\nr1,1,2\n", "tests/data/travel_reviews.csv"]
+    )
+    def test_str_source_rejected(self, source):
+        # a str iterates by character, so CSV text and a path are both
+        # mistakes, not a one-column file
+        with pytest.raises(InputError, match="text stream or an iterable") as err:
+            load_reviews(source)
+        assert type(err.value) is InputError
+
     def test_generic_headers_get_canonical_names(self):
         header = "id," + ",".join(f"Category {i}" for i in range(1, 11))
         row = "r1," + ",".join("1.0" for _ in range(10))
@@ -189,18 +199,6 @@ class TestStreaming:
 
 
 class TestReviewMatrixInvariants:
-    def test_duplicate_names_rejected(self):
-        with pytest.raises(InputError):
-            ReviewMatrix(("a", "a"), np.ones((2, 1)))
-
-    def test_empty_name_rejected(self):
-        with pytest.raises(InputError):
-            ReviewMatrix(("a", ""), np.ones((2, 1)))
-
-    def test_single_alternative_rejected(self):
-        with pytest.raises(InputError):
-            ReviewMatrix(("a",), np.ones((1, 3)))
-
     def test_out_of_range_value_rejected(self):
         with pytest.raises(RatingRangeError):
             ReviewMatrix(("a", "b"), np.array([[1.0], [4.2]]))
@@ -256,6 +254,33 @@ def test_values_freeze_a_read_only_copy(kind):
             setattr(value, field, getattr(value, field))
     with pytest.raises(InputError, match="must have shape"):
         kind(["a", "b", "c"], _VALID[kind])
+
+
+def _first(kind):
+    """``_VALID[kind]`` cut to its first alternative, on every axis of n."""
+    arr = np.array(_VALID[kind])
+    if kind in (PairwiseMatrix, FuzzyPairwiseMatrix):
+        return arr[:1, :1]
+    return arr[:1]
+
+
+#: names -> the InputError message each of the six types gives for them
+_BAD_NAMES = {
+    "str": ("ab", "must be a sequence of names, not a str"),
+    "repeated": (("a", "a"), "alternative names must be unique"),
+    "empty": (("a", ""), "alternative names must be non-empty"),
+    "single": (("a",), "need at least 2 alternatives, got 1"),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_NAMES))
+@pytest.mark.parametrize("kind", list(_VALID))
+def test_values_need_two_distinct_nonempty_names(kind, case):
+    names, message = _BAD_NAMES[case]
+    # the array fits the names, so only the names can be at fault
+    array = _first(kind) if len(names) == 1 else _VALID[kind]
+    with pytest.raises(InputError, match=message):
+        kind(names, array)
 
 
 class TestCategoryMeans:
