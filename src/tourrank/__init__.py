@@ -1,9 +1,9 @@
 """Rank alternatives from reviewer rating matrices.
 
 Three methods over the same per-alternative mean ratings: a manual
-sum-normalized baseline, classical AHP (eigenvector weights with a Saaty
-consistency gate), and fuzzy-AHP (triangular-fuzzy extent analysis with
-degree-of-possibility weighting). Reports compare the methods by MSE.
+sum-normalized baseline, classical AHP (eigenvector weights with Saaty
+consistency diagnostics), and fuzzy-AHP (triangular-fuzzy extent analysis
+with degree-of-possibility weighting). Reports compare the methods by MSE.
 """
 
 from .ahp import (

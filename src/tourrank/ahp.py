@@ -22,8 +22,6 @@ RANDOM_INDEX = (
     1.45, 1.49, 1.51, 1.54, 1.56, 1.58, 1.59,
 )
 
-DEFAULT_CR_THRESHOLD = 0.1
-
 _TOL = 1e-10
 _MAX_ITER = 1000
 _RECIPROCITY_TOL = 1e-9
@@ -76,7 +74,6 @@ class ConsistencyReport:
     ci: float
     ri: float
     cr: float
-    consistent: bool
 
 
 def build_pairwise(s: ScoreVector) -> PairwiseMatrix:
@@ -166,32 +163,27 @@ def random_index(n: int) -> float:
     return (1.7699 * n - 4.3513) / (n - 1)
 
 
-def consistency_ratio(
-    ci: float, n: int, threshold: float = DEFAULT_CR_THRESHOLD
-) -> tuple[float, bool]:
-    """CR = CI / RI(n) and the gate verdict CR <= threshold.
+def consistency_ratio(ci: float, n: int) -> float:
+    """CR = CI / RI(n).
 
     Orders whose random index is 0 (n <= 2) are always consistent, so CR
-    is defined as 0 there.
+    is defined as 0 there. Judging CR against a threshold is left to the
+    caller, as the CLI's ``--cr-threshold`` does.
     """
     if not np.isfinite(ci):
         raise InputError("ci must be finite")
     ri = random_index(n)
-    cr = ci / ri if ri > 0 else 0.0
-    return cr, cr <= threshold
+    return ci / ri if ri > 0 else 0.0
 
 
-def evaluate_consistency(
-    p: PairwiseMatrix, *, threshold: float = DEFAULT_CR_THRESHOLD
-) -> tuple[WeightVector, ConsistencyReport]:
+def evaluate_consistency(p: PairwiseMatrix) -> tuple[WeightVector, ConsistencyReport]:
     """Eigenvector weights plus the full consistency report for one matrix."""
     weights, lam = principal_eigenvector(p)
     n = p.order
     # lambda_max >= n for every positive reciprocal matrix, so a negative CI
     # is rounding (-2e-16 on a rank-1 matrix); 0.0 first keeps -0.0 out too
     ci = max(0.0, consistency_index(lam, n))
-    cr, ok = consistency_ratio(ci, n, threshold)
     report = ConsistencyReport(
-        lambda_max=lam, n=n, ci=ci, ri=random_index(n), cr=cr, consistent=ok
+        lambda_max=lam, n=n, ci=ci, ri=random_index(n), cr=consistency_ratio(ci, n)
     )
     return weights, report

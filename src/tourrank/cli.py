@@ -10,8 +10,9 @@ it.
 Exit codes: 0 success, 1 input or parse error (a missing, unreadable or
 non-UTF-8 file, a malformed CSV, a ``--cr-threshold`` that is not a
 positive finite number, a stdout pipe closed before the output was
-written), 2 consistency-gate failure. Warnings and errors
-go to stderr, one line each; data stays on stdout.
+written), 2 consistency-gate failure (CR above ``--cr-threshold``, which
+only this module judges). Warnings and errors go to stderr, one line
+each; data stays on stdout.
 """
 
 from __future__ import annotations
@@ -77,11 +78,11 @@ def _warnings_to_stderr():
                 print(f"warning: {w.message}", file=sys.stderr)
 
 
-def _format_table(report: RankingReport) -> str:
+def _format_table(report: RankingReport, consistent: bool) -> str:
     lines = [f"method: {report.method}"]
     if report.consistency is not None:
         c = report.consistency
-        verdict = "PASS" if c.consistent else "FAIL"
+        verdict = "PASS" if consistent else "FAIL"
         lines.append(
             f"consistency: lambda_max={c.lambda_max:.4f} CI={c.ci:.4f} "
             f"RI={c.ri:.4f} CR={c.cr:.4f} [{verdict}]"
@@ -94,7 +95,7 @@ def _format_table(report: RankingReport) -> str:
     return "\n".join(lines)
 
 
-def _report_dict(report: RankingReport) -> dict:
+def _report_dict(report: RankingReport, consistent: bool) -> dict:
     consistency = None
     if report.consistency is not None:
         c = report.consistency
@@ -104,7 +105,7 @@ def _report_dict(report: RankingReport) -> dict:
             "ci": round(c.ci, 6),
             "ri": round(c.ri, 6),
             "cr": round(c.cr, 6),
-            "consistent": c.consistent,
+            "consistent": consistent,
         }
     return {
         "method": report.method,
@@ -137,24 +138,11 @@ def _write_csv(reports: list[RankingReport], columns: tuple[str, ...]) -> None:
             writer.writerow([cells[c] for c in columns])
 
 
-def _gate(reports: list[RankingReport]) -> int:
-    failed = [r for r in reports if r.consistency and not r.consistency.consistent]
-    if failed:
-        c = failed[0].consistency
-        print(
-            f"warning: consistency ratio {c.cr:.6f} exceeds the threshold; "
-            "results are flagged, not suppressed",
-            file=sys.stderr,
-        )
-        return EXIT_INCONSISTENT
-    return EXIT_OK
-
-
-def _print_validation(report: ConsistencyReport, threshold: float) -> None:
+def _print_validation(
+    report: ConsistencyReport, threshold: float, consistent: bool
+) -> None:
     verdict = (
-        f"PASS (CR <= {threshold:g})"
-        if report.consistent
-        else f"FAIL (CR > {threshold:g})"
+        f"PASS (CR <= {threshold:g})" if consistent else f"FAIL (CR > {threshold:g})"
     )
     print(f"n           {report.n}")
     print(f"lambda_max  {report.lambda_max:.6f}")
@@ -174,9 +162,7 @@ def _run(args: argparse.Namespace) -> int:
             source = args.input
             with open(source, newline="", encoding="utf-8") as fh:
                 data = load_reviews(fh, delimiter=args.delimiter, names=names)
-            reports = compare_methods(
-                data, methods=methods, cr_threshold=args.cr_threshold
-            )
+            reports = compare_methods(data, methods=methods)
     except OSError as exc:
         # str(exc) names the offending file (input or names config)
         print(f"error: cannot read input: {exc}", file=sys.stderr)
@@ -191,13 +177,16 @@ def _run(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
+    # the ahp and fuzzy_ahp reports share one consistency report; manual has none
+    consistency = next((r.consistency for r in reports if r.consistency), None)
+    consistent = consistency is None or consistency.cr <= args.cr_threshold
     try:
         if args.command == "validate":
-            _print_validation(reports[0].consistency, args.cr_threshold)
+            _print_validation(consistency, args.cr_threshold, consistent)
         elif args.format == "table":
-            print("\n\n".join(_format_table(r) for r in reports))
+            print("\n\n".join(_format_table(r, consistent) for r in reports))
         elif args.format == "json":
-            payload = [_report_dict(r) for r in reports]
+            payload = [_report_dict(r, consistent) for r in reports]
             print(json.dumps(payload[0] if len(payload) == 1 else payload, indent=2))
         else:
             _write_csv(reports, args.columns)
@@ -210,9 +199,15 @@ def _run(args: argparse.Namespace) -> int:
         os.close(devnull)
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    if args.command == "validate":
-        return EXIT_OK if reports[0].consistency.consistent else EXIT_INCONSISTENT
-    return _gate(reports)
+    if consistent:
+        return EXIT_OK
+    if args.command != "validate":  # validate's verdict line already says it
+        print(
+            f"warning: consistency ratio {consistency.cr:.6f} exceeds the threshold; "
+            "results are flagged, not suppressed",
+            file=sys.stderr,
+        )
+    return EXIT_INCONSISTENT
 
 
 class _Parser(argparse.ArgumentParser):
@@ -243,7 +238,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if ranks:
             p.add_argument(
                 "--method",
-                choices=["ahp", "fuzzy-ahp", "manual", "all"],
+                choices=[m.replace("_", "-") for m in METHODS] + ["all"],
                 default="all",
                 help="which method(s) to run (default: all)",
             )
@@ -254,7 +249,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "--cr-threshold",
             type=float,
             default=0.1,
-            help="consistency-ratio gate (default: 0.1)",
+            help="consistency-ratio gate (default: %(default)s)",
         )
         p.add_argument(
             "--names-config",

@@ -61,7 +61,7 @@ def _freeze(
 ) -> None:
     """Store ``value``'s names as a tuple and its array as a read-only float copy.
 
-    The names must be at least two distinct, non-empty names, given as a
+    The names must be at least two distinct, non-empty strings, given as a
     sequence other than a ``str``. ``shape`` states the array's shape:
     ``"n"`` is the number of names and ``None`` any length. Anything else
     is an InputError.
@@ -69,7 +69,14 @@ def _freeze(
     labels = getattr(value, names)
     if isinstance(labels, str):
         raise InputError(f"{names} must be a sequence of names, not a str")
-    labels = tuple(labels)
+    try:
+        labels = tuple(labels)
+    except TypeError:  # not iterable, and not a str: rejected just below
+        labels = (labels,)
+    # checked before len() and set() see the names: ints would pass both,
+    # and lists would not hash
+    if not all(isinstance(label, str) for label in labels):
+        raise InputError(f"{names} must be a sequence of str")
     arr = _readonly(getattr(value, array))
     want = tuple(len(labels) if d == "n" else d for d in shape)
     if arr.ndim != len(want) or any(

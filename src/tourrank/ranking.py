@@ -7,13 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ahp import (
-    DEFAULT_CR_THRESHOLD,
-    ConsistencyReport,
-    WeightVector,
-    build_pairwise,
-    evaluate_consistency,
-)
+from .ahp import ConsistencyReport, WeightVector, build_pairwise, evaluate_consistency
 from .dataset import ReviewMatrix, ScoreVector, category_means, normalize
 from .errors import InputError
 from .fuzzy import build_fuzzy_pairwise, fuzzy_weights, synthetic_extents
@@ -86,10 +80,7 @@ def mse(f: Sequence[float], y: Sequence[float]) -> float:
 
 
 def compare_methods(
-    data: ReviewMatrix,
-    *,
-    methods: Sequence[str] = METHODS,
-    cr_threshold: float = DEFAULT_CR_THRESHOLD,
+    data: ReviewMatrix, *, methods: Sequence[str] = METHODS
 ) -> list[RankingReport]:
     """Run the requested methods on one review matrix.
 
@@ -98,10 +89,10 @@ def compare_methods(
     relative to the largest mean. Each method ranks by its own weights, and
     its report carries the ranked entries with the raw means attached, the
     consistency diagnostics of the underlying crisp matrix (AHP branches; the
-    fuzzy branch is gated on the same crisp matrix), and the MSE of its
-    weights against the manual baseline.
-    An inconsistent matrix is reported with ``consistent=False``, never
-    dropped.
+    fuzzy branch shares the report of the same crisp matrix), and the MSE of
+    its weights against the manual baseline.
+    The reports carry CR but pass no verdict on it: an inconsistent matrix
+    is reported like any other, never dropped, and the caller judges CR.
 
     All-zero means, and more than :data:`MAX_ALTERNATIVES` alternatives for
     the ahp and fuzzy_ahp methods, raise :class:`InputError`.
@@ -129,7 +120,7 @@ def compare_methods(
     consistency: ConsistencyReport | None = None
     if "ahp" in wanted or "fuzzy_ahp" in wanted:
         pairwise = build_pairwise(scores)
-        ahp_w, consistency = evaluate_consistency(pairwise, threshold=cr_threshold)
+        ahp_w, consistency = evaluate_consistency(pairwise)
         if "ahp" in wanted:
             weights["ahp"] = ahp_w
         if "fuzzy_ahp" in wanted:

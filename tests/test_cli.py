@@ -487,6 +487,48 @@ def test_bad_names_are_one_error_line(capsys, tmp_path, command, case):
     assert run_cli(capsys, *argv) == (1, "", error)
 
 
+_CLAMP = "warning: 3 ratio pair(s) clamped to [1/9, 9]\n"
+_GATE = (
+    "warning: consistency ratio 0.406392 exceeds the threshold; "
+    "results are flagged, not suppressed\n"
+)
+
+#: case -> (argv before --input, exit code, text stdout must hold, whole stderr)
+VERDICTS = {
+    "rank-table": (["rank", "--method", "ahp"], 2, "CR=0.4064 [FAIL]", _CLAMP + _GATE),
+    "rank-json": (
+        ["rank", "--method", "ahp", "--format", "json"], 2,
+        '"consistent": false', _CLAMP + _GATE,
+    ),
+    "validate": (["validate"], 2, "verdict     FAIL (CR > 0.1)\n", _CLAMP),
+    "rank-table-0.5": (
+        ["rank", "--method", "ahp", "--cr-threshold", "0.5"], 0,
+        "CR=0.4064 [PASS]", _CLAMP,
+    ),
+    "rank-json-0.5": (
+        ["rank", "--format", "json", "--cr-threshold", "0.5"], 0,
+        '"consistent": true', _CLAMP,
+    ),
+    "export-plotdata-0.5": (
+        ["export-plotdata", "--cr-threshold", "0.5"], 0, "fuzzy_ahp,W,", _CLAMP
+    ),
+    "validate-0.5": (
+        ["validate", "--cr-threshold", "0.5"], 0, "verdict     PASS (CR <= 0.5)\n",
+        _CLAMP,
+    ),
+    "rank-manual": (["rank", "--method", "manual"], 0, "method: manual", ""),
+}
+
+
+@pytest.mark.parametrize("case", list(VERDICTS))
+def test_gate_verdict_follows_the_threshold(capsys, inconsistent_csv, case):
+    # the 4x4 file's CR is 0.4064: over the default 0.1, under 0.5
+    argv, code, shown, err = VERDICTS[case]
+    got_code, out, got_err = run_cli(capsys, *argv, "--input", str(inconsistent_csv))
+    assert (got_code, got_err) == (code, err)
+    assert shown in out
+
+
 def test_bad_cell_is_reported_before_a_later_bad_byte(capsys, tmp_path):
     # reading stops at the bad cell, before the decoder reaches the byte
     body = b"".join(b"r%d,1,2,3\n" % i for i in range(2, 10_000))

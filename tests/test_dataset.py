@@ -270,6 +270,9 @@ _BAD_NAMES = {
     "repeated": (("a", "a"), "alternative names must be unique"),
     "empty": (("a", ""), "alternative names must be non-empty"),
     "single": (("a",), "need at least 2 alternatives, got 1"),
+    "not-iterable": (5, "must be a sequence of str"),
+    "unhashable": ([["a"], ["b"]], "must be a sequence of str"),
+    "ints": ([1, 2], "must be a sequence of str"),
 }
 
 
@@ -278,7 +281,7 @@ _BAD_NAMES = {
 def test_values_need_two_distinct_nonempty_names(kind, case):
     names, message = _BAD_NAMES[case]
     # the array fits the names, so only the names can be at fault
-    array = _first(kind) if len(names) == 1 else _VALID[kind]
+    array = _first(kind) if case == "single" else _VALID[kind]
     with pytest.raises(InputError, match=message):
         kind(names, array)
 
