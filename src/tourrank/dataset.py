@@ -219,11 +219,14 @@ def _load_block(block: list[str], n_cols: int, delimiter: str) -> np.ndarray | N
     The block must be lines of text that ``csv.reader`` reads one record
     each and loadtxt splits alike: no quote (a quoted field may span lines),
     no NUL (which some ``csv`` versions reject), and no line longer than the
-    CSV field size limit. loadtxt rejects a row with fewer than ``n_cols``
-    fields, so every row it returns holds at least ``n_cols - 1``
-    delimiters; a block total of exactly that many per row means no row is
-    too long either (the blank lines loadtxt skips hold none). NaN fails the
-    range check, so non-finite ratings fail too.
+    CSV field size limit. The lines are measured only when the block's text
+    is over that limit, since no line is longer than the text. loadtxt
+    rejects a row with fewer than ``n_cols`` fields, so every row it returns
+    holds at least ``n_cols - 1`` delimiters; a block total of exactly that
+    many per row means no row is too long either (the blank lines loadtxt
+    skips hold none). NaN fails the range check, so non-finite ratings fail
+    too. Only an all-blank block gives loadtxt no rows, and it returns
+    before loadtxt, so ``min()`` never sees an empty array.
     """
     try:
         text = "".join(block)
@@ -234,7 +237,8 @@ def _load_block(block: list[str], n_cols: int, delimiter: str) -> np.ndarray | N
         return np.empty((0, n_cols - 1))
     if '"' in text or "\x00" in text:
         return None
-    if max(map(len, block)) > csv.field_size_limit():
+    limit = csv.field_size_limit()
+    if len(text) > limit and max(map(len, block)) > limit:
         return None
     try:
         ratings = np.loadtxt(
@@ -246,9 +250,9 @@ def _load_block(block: list[str], n_cols: int, delimiter: str) -> np.ndarray | N
         )
     except ValueError:
         return None
-    if text.count(delimiter) != ratings.shape[0] * (n_cols - 1):
+    if text.count(delimiter) != ratings.size:
         return None
-    if not np.all((ratings >= RATING_MIN) & (ratings <= RATING_MAX)):
+    if not (ratings.min() >= RATING_MIN and ratings.max() <= RATING_MAX):
         return None
     return ratings
 
@@ -345,7 +349,7 @@ def normalize(m: np.ndarray) -> np.ndarray:
     (``tests/test_acceptance.py::test_c7_normalization_properties``)
     pins the matrix path.
     """
-    arr = np.asarray(m, dtype=float)
+    arr = _readonly(m)
     if arr.size == 0:
         raise InputError("cannot normalize an empty matrix")
     if not np.all(np.isfinite(arr)) or np.any(arr < 0):

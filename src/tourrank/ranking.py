@@ -8,7 +8,7 @@ from typing import Sequence
 import numpy as np
 
 from .ahp import ConsistencyReport, WeightVector, build_pairwise, evaluate_consistency
-from .dataset import ReviewMatrix, ScoreVector, category_means, normalize
+from .dataset import ReviewMatrix, ScoreVector, _readonly, category_means, normalize
 from .errors import InputError
 from .fuzzy import build_fuzzy_pairwise, fuzzy_weights, synthetic_extents
 
@@ -53,7 +53,7 @@ def rank(w: WeightVector, raw_scores: Sequence[float]) -> tuple[RankEntry, ...]:
     The raw score breaks weight ties, so weights that round equal (means one
     ulp apart can) still rank as the means do.
     """
-    raw = np.asarray(raw_scores, dtype=float)
+    raw = _readonly(raw_scores)
     if raw.shape != w.w.shape:
         raise InputError("raw_scores length must match the weight vector")
     # lexsort is stable and sorts by its last key first
@@ -68,8 +68,8 @@ def rank(w: WeightVector, raw_scores: Sequence[float]) -> tuple[RankEntry, ...]:
 
 def mse(f: Sequence[float], y: Sequence[float]) -> float:
     """Mean squared error between two equal-length vectors."""
-    fa = np.asarray(f, dtype=float)
-    ya = np.asarray(y, dtype=float)
+    fa = _readonly(f)
+    ya = _readonly(y)
     if fa.ndim != 1 or fa.shape != ya.shape:
         raise InputError(f"length mismatch: {fa.shape} vs {ya.shape}")
     if fa.size == 0:

@@ -140,7 +140,45 @@ def _load_peak(text):
     return m, peak
 
 
+@pytest.fixture
+def per_cell_calls(monkeypatch):
+    """One entry per call of the per-cell loop: the records that call read."""
+    calls = []
+    parse = dataset._parse_records
+
+    def counting(records, n_cols, first_row):
+        calls.append(0)
+
+        def counted():
+            for record in records:
+                calls[-1] += 1
+                yield record
+
+        return parse(counted(), n_cols, first_row)
+
+    monkeypatch.setattr(dataset, "_parse_records", counting)
+    return calls
+
+
 class TestStreaming:
+    # outputs are the same either way, so only a count shows a check that
+    # sends a good block to the per-cell loop
+    def test_valid_files_never_take_the_per_cell_loop(
+        self, per_cell_calls, travel_csv_path
+    ):
+        with open(travel_csv_path, newline="", encoding="utf-8") as fh:
+            load_reviews(fh)
+        _load(_generated_text(20_000, 10))
+        assert per_cell_calls == []
+
+    def test_bad_last_row_takes_the_per_cell_loop_for_its_block_only(
+        self, per_cell_calls
+    ):
+        with pytest.raises(ParseError):
+            _load(_generated_text(20_000, 10, bad_last_row=True))
+        assert len(per_cell_calls) == 1
+        assert per_cell_calls[0] <= dataset._BLOCK_LINES
+
     def test_stops_reading_at_the_first_bad_block(self):
         drawn = 0
 

@@ -190,6 +190,30 @@ def test_semicolon_delimiter():
         assert_same_as_reference(lines[:2], ";", block_lines)
 
 
+@pytest.mark.parametrize("block_lines", [2, 256])
+def test_field_size_limit(block_lines):
+    lines = HEADER + ["r1,1,2,3\n", "r2,0,4,1\n", "long-id,1,2,3\n", "r4,1,2,3\n"]
+    default = csv.field_size_limit()
+    try:
+        # every line within the limit, each block's text over it: the lines
+        # are measured and the blocks stay on loadtxt
+        csv.field_size_limit(max(map(len, lines)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dataset, "_parse_records", _no_per_cell_loop)
+            assert_same_as_reference(lines, block_lines=block_lines)
+        # one field over the limit: the csv reader's StructureError
+        csv.field_size_limit(len("long-id") - 1)
+        expected = _outcome(reference_load_reviews, lambda: list(lines), ",")
+        assert expected[0] is StructureError
+        assert_same_as_reference(lines, block_lines=block_lines)
+    finally:
+        csv.field_size_limit(default)
+
+
+def _no_per_cell_loop(*args):
+    raise AssertionError("a block left loadtxt")
+
+
 def test_travel_fixture(travel_csv_path):
     lines = travel_csv_path.read_text(encoding="utf-8").splitlines(keepends=True)
     assert_same_as_reference(lines, block_lines=256)

@@ -16,6 +16,7 @@ from tourrank import (
     load_reviews,
     manual_baseline,
     mse,
+    normalize,
     rank,
 )
 
@@ -82,6 +83,23 @@ class TestRank:
     def test_deterministic(self):
         w = WeightVector(("a", "b", "c"), np.array([0.4, 0.4, 0.2]))
         assert rank(w, [1.0, 1.0, 0.5]) == rank(w, [1.0, 1.0, 0.5])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: normalize([[1, 2], [3]]), id="ragged-normalize"),
+        pytest.param(lambda: mse("ab", "cd"), id="str-mse"),
+        pytest.param(lambda: mse([[1], [1, 2]], [1, 2]), id="ragged-mse"),
+        pytest.param(
+            lambda: rank(WeightVector(("a", "b"), [0.5, 0.5]), ["x", "y"]),
+            id="str-raw-scores",
+        ),
+    ],
+)
+def test_non_numeric_input_is_an_input_error(call):
+    with pytest.raises(InputError):
+        call()
 
 
 class TestMse:
