@@ -38,7 +38,6 @@ from .errors import (
 )
 from .fuzzy import (
     ExtentVector,
-    FuzzyPairwiseMatrix,
     build_fuzzy_pairwise,
     fuzzy_weights,
     synthetic_extents,
@@ -62,7 +61,6 @@ __all__ = [
     "ConvergenceError",
     "DegenerateColumnWarning",
     "ExtentVector",
-    "FuzzyPairwiseMatrix",
     "InputError",
     "METHODS",
     "PairwiseMatrix",

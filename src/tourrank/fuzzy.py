@@ -1,16 +1,18 @@
 """Triangular-fuzzy comparison scale, extent analysis, and possibility weights.
 
 Chang's extent analysis on arrays: a triangular fuzzy number (TFN) is a row
-(l, m, u), a fuzzy matrix (n, n, 3), the extents (n, 3).
+(l, m, u) and the extents are (n, 3). The fuzzy matrix is in index form: an
+(n, n) array whose cells are rows of the scale table ``_TABLE``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .ahp import _RECIPROCITY_TOL, PairwiseMatrix, WeightVector
+from .ahp import PairwiseMatrix, WeightVector
 from .dataset import _freeze, _readonly
 from .errors import InputError
 
@@ -32,38 +34,9 @@ _SCALE = _readonly([
 # _SCALE stacked on its inverses: row 9 + k-1 is the inverse of intensity k
 _TABLE = _readonly(np.concatenate([_SCALE, 1.0 / _SCALE[:, ::-1]]))
 
-
-def _check_tfns(t: np.ndarray) -> None:
-    if not np.all(np.isfinite(t)) or np.any(t <= 0):
-        raise InputError("TFN components must be positive and finite")
-    if np.any(t[..., 0] > t[..., 1]) or np.any(t[..., 1] > t[..., 2]):
-        raise InputError("every entry must satisfy l <= m <= u")
-
-
-@dataclass(frozen=True)
-class FuzzyPairwiseMatrix:
-    """n x n matrix of TFNs, stored as an (n, n, 3) array of (l, m, u).
-
-    The diagonal is (1,1,1) and the lower triangle holds the exact
-    inverses of the upper triangle.
-    """
-
-    names: tuple[str, ...]
-    f: np.ndarray
-
-    def __post_init__(self):
-        _freeze(self, "names", "f", ("n", "n", 3))
-        f = self.f
-        n = f.shape[0]
-        _check_tfns(f)
-        if np.any(f[np.arange(n), np.arange(n)] != 1.0):
-            raise InputError("diagonal entries must be (1, 1, 1)")
-        # one (n, n, 3) temporary: the product, then its distance from 1
-        off = f[:, :, ::-1].transpose(1, 0, 2) * f
-        off -= 1.0
-        np.abs(off, out=off)
-        if off.max() > _RECIPROCITY_TOL:
-            raise InputError("lower triangle must hold the inverses of the upper")
+# Every _TABLE entry is a multiple of 1/1260 (the least common multiple of
+# its denominators 2, 3, 4, 5, 7 and 9), so 1260 * _TABLE is exact in int64
+_TABLE_1260 = np.rint(1260 * _TABLE).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -75,10 +48,14 @@ class ExtentVector:
 
     def __post_init__(self):
         _freeze(self, "names", "s", ("n", 3))
-        _check_tfns(self.s)
+        s = self.s
+        if not np.all(np.isfinite(s)) or np.any(s <= 0):
+            raise InputError("TFN components must be positive and finite")
+        if np.any(s[:, 0] > s[:, 1]) or np.any(s[:, 1] > s[:, 2]):
+            raise InputError("every entry must satisfy l <= m <= u")
 
 
-def build_fuzzy_pairwise(p: PairwiseMatrix) -> FuzzyPairwiseMatrix:
+def build_fuzzy_pairwise(p: PairwiseMatrix) -> np.ndarray:
     """Fuzzify a crisp comparison matrix through the intensity scale.
 
     Both cells of a pair read the pair's larger ratio, round it once to the
@@ -86,6 +63,10 @@ def build_fuzzy_pairwise(p: PairwiseMatrix) -> FuzzyPairwiseMatrix:
     holding the larger ratio the TFN itself, the other its inverse. A ratio
     within a relative 1e-9 of a half step counts as on it. The diagonal is
     (1,1,1).
+
+    The fuzzy matrix comes back in index form: a read-only (n, n) int8
+    array whose cell holds the row of ``_TABLE`` with its TFN, so
+    ``_TABLE[k]`` is the (n, n, 3) array of (l, m, u).
     """
     a = p.a
     # Scaling by 1 + 1e-9 lifts a ratio just below a half step to or past
@@ -94,21 +75,37 @@ def build_fuzzy_pairwise(p: PairwiseMatrix) -> FuzzyPairwiseMatrix:
     # is at most about R * eps (2e-12 at R = 20000), while two distinct
     # ratios of one-decimal rating sums differ by at least about 1e-7,
     # relative.
-    ratio = np.maximum(a, a.T) * (1 + 1e-9)
-    k = np.clip(np.floor(ratio + 0.5), 1, 9).astype(int)
-    return FuzzyPairwiseMatrix(p.names, _TABLE[k - 1 + 9 * (a < a.T)])
+    big = np.maximum(a, a.T)
+    k = np.clip(np.floor(big * (1 + 1e-9) + 0.5), 1, 9).astype(np.int8)
+    # row k - 1 of _TABLE, or its inverse 9 rows on in the smaller ratio's cell
+    k = np.where(a < big, k + 8, k - 1)
+    k.setflags(write=False)
+    return k
 
 
-def synthetic_extents(fp: FuzzyPairwiseMatrix) -> ExtentVector:
-    """Fuzzy synthetic extent of each row against the grand total.
+def synthetic_extents(names: Sequence[str], k: np.ndarray) -> ExtentVector:
+    """Fuzzy synthetic extent of each row of the index-form matrix ``k``.
 
     S_i = rowsum_i (x) inverse(total), i.e. componentwise
-    (rowsum_l / total_u, rowsum_m / total_m, rowsum_u / total_l).
+    (rowsum_l / total_u, rowsum_m / total_m, rowsum_u / total_l). The sums
+    are exact integers over 1260 * _TABLE, from each row's count of every
+    table row, so rows that are equal in exact arithmetic give bitwise
+    equal extents. ``k`` must be (n, n) for n names, with cells in 0..17.
     """
-    rows = fp.f.sum(axis=1)
-    # a validated fuzzy matrix is non-empty and positive, so total > 0
+    n = len(names)
+    try:
+        k = np.asarray(k)
+    except ValueError as exc:  # ragged
+        raise InputError(f"k is not a regular array: {exc}") from None
+    if k.shape != (n, n) or np.any((k < 0) | (k > 17)):
+        raise InputError(f"k must be an ({n}, {n}) array of scale-table rows 0..17")
+    counts = np.bincount((k + 18 * np.arange(n)[:, None]).ravel(), minlength=18 * n)
+    rows = counts.reshape(n, 18) @ _TABLE_1260
+    # the diagonal's (1, 1, 1) makes every total positive; the 1260 cancels.
+    # A total is at most 5670 * n^2, below 2^53 for any n whose (n, n)
+    # matrix fits in memory, so the division reads exact integers
     total = rows.sum(axis=0)
-    return ExtentVector(fp.names, rows / total[::-1])
+    return ExtentVector(names, rows / total[::-1])
 
 
 def fuzzy_weights(e: ExtentVector) -> WeightVector:

@@ -16,8 +16,9 @@ from .fuzzy import build_fuzzy_pairwise, fuzzy_weights, synthetic_extents
 METHODS = ("ahp", "fuzzy_ahp", "manual")
 
 #: Largest number of alternatives the ahp and fuzzy_ahp methods accept. Their
-#: n x n builds need over 100 B * n^2 of memory (about 1 GB at n = 3000), so
-#: a wider file is refused before any of it is taken.
+#: n x n builds peak at 34 B * n^2 of traced memory, set by build_pairwise
+#: (about 340 MB of peak RSS for a whole rank run at n = 3000), so a wider
+#: file is refused before any of it is taken.
 MAX_ALTERNATIVES = 3000
 
 
@@ -125,7 +126,7 @@ def compare_methods(
             weights["ahp"] = ahp_w
         if "fuzzy_ahp" in wanted:
             weights["fuzzy_ahp"] = fuzzy_weights(
-                synthetic_extents(build_fuzzy_pairwise(pairwise))
+                synthetic_extents(pairwise.names, build_fuzzy_pairwise(pairwise))
             )
 
     reports = []

@@ -3,7 +3,9 @@
 The library computes on arrays; these are the same definitions written one
 number, one pair or one cell at a time. A triangular fuzzy number (TFN) is
 an ``(l, m, u)`` tuple. Tests compare library output with these and never
-these with themselves. pytest does not collect this module (no ``test_``
+these with themselves. ``exact_extents`` and ``exact_fuzzy_weights`` are
+the exact oracle: Chang's extents and weights in ``Fraction`` arithmetic,
+with no rounding at all. pytest does not collect this module (no ``test_``
 prefix); tests import it as ``from reference import ...``.
 """
 
@@ -60,6 +62,18 @@ def oracle_fuzzy_weights(extents):
     return [d / total for d in degrees]
 
 
+def _pairs(n, pair_specs):
+    """(i, j, intensity, flip) for each pair i < j in row order.
+
+    The specs are taken in that order; pairs past their end are (1, False).
+    """
+    specs = iter(pair_specs)
+    for i in range(n):
+        for j in range(i + 1, n):
+            intensity, flip = next(specs, (1, False))
+            yield i, j, intensity, flip
+
+
 def fuzzy_pairwise_array(n, pair_specs):
     """(n, n, 3) fuzzy matrix from (intensity, flip) specs, one per pair i < j.
 
@@ -68,16 +82,52 @@ def fuzzy_pairwise_array(n, pair_specs):
     end of ``pair_specs`` are (1, False), and the diagonal is (1, 1, 1).
     """
     f = np.ones((n, n, 3))
-    specs = iter(pair_specs)
-    for i in range(n):
-        for j in range(i + 1, n):
-            intensity, flip = next(specs, (1, False))
-            t = scale_tfn(intensity)
-            if flip:
-                t = inverse(t)
-            f[i, j] = t
-            f[j, i] = inverse(t)
+    for i, j, intensity, flip in _pairs(n, pair_specs):
+        t = scale_tfn(intensity)
+        if flip:
+            t = inverse(t)
+        f[i, j] = t
+        f[j, i] = inverse(t)
     return f
+
+
+def fuzzy_pairwise_index(n, pair_specs):
+    """``fuzzy_pairwise_array`` in the library's index form.
+
+    Cell (i, j) is the row of ``tourrank.fuzzy._TABLE`` that holds its TFN:
+    intensity - 1, plus 9 for an inverse.
+    """
+    k = np.zeros((n, n), dtype=np.int8)
+    for i, j, intensity, flip in _pairs(n, pair_specs):
+        k[i, j] = intensity - 1 + 9 * flip
+        k[j, i] = intensity - 1 + 9 * (not flip)
+    return k
+
+
+def exact_extents(n, pair_specs):
+    """Chang's synthetic extents of the specs' fuzzy matrix, as Fractions.
+
+    Built from ``SCALE``: each row's (l, m, u) sum over the grand total's
+    (u, m, l) sum, with no rounding anywhere.
+    """
+    cells = [[(Fraction(1),) * 3] * n for _ in range(n)]
+    for i, j, intensity, flip in _pairs(n, pair_specs):
+        t = tuple(Fraction(x) for x in SCALE[intensity])
+        inv = (1 / t[2], 1 / t[1], 1 / t[0])
+        cells[i][j], cells[j][i] = (inv, t) if flip else (t, inv)
+    rows = [tuple(sum(c[x] for c in row) for x in range(3)) for row in cells]
+    total = tuple(sum(r[x] for r in rows) for x in range(3))
+    return [(l / total[2], m / total[1], u / total[0]) for l, m, u in rows]
+
+
+def exact_fuzzy_weights(extents):
+    """``oracle_fuzzy_weights`` of exact extents, as Fractions."""
+    degrees = [
+        Fraction(min(possibility(si, sj) for j, sj in enumerate(extents) if j != i))
+        for i, si in enumerate(extents)
+    ]
+    total = sum(degrees)
+    return [d / total for d in degrees]
 
 
 def loop_pairwise(vals):
@@ -119,8 +169,8 @@ def _intensity(value):
     return min(max(math.floor(value + 0.5), 1), 9)
 
 
-def loop_fuzzy_pairwise(a):
-    """The (n, n, 3) array of ``build_fuzzy_pairwise``, pair by pair."""
+def fuzzy_pair_specs(a):
+    """The (intensity, flip) spec of each pair i < j of ``build_fuzzy_pairwise``."""
     n = a.shape[0]
     specs = []
     for i in range(n):
@@ -130,4 +180,9 @@ def loop_fuzzy_pairwise(a):
                 specs.append((_intensity(value), False))
             else:
                 specs.append((_intensity(1.0 / value), True))
-    return fuzzy_pairwise_array(n, specs)
+    return specs
+
+
+def loop_fuzzy_pairwise(a):
+    """The (n, n, 3) array of ``build_fuzzy_pairwise``, pair by pair."""
+    return fuzzy_pairwise_array(a.shape[0], fuzzy_pair_specs(a))

@@ -16,7 +16,6 @@ import pytest
 from tourrank import (
     DegenerateColumnWarning,
     ExtentVector,
-    FuzzyPairwiseMatrix,
     build_fuzzy_pairwise,
     compare_methods,
     consistency_index,
@@ -27,11 +26,12 @@ from tourrank import (
     synthetic_extents,
 )
 from tourrank.ahp import PairwiseMatrix
+from tourrank.fuzzy import _TABLE
 
 from conftest import EXPECTED_MANUAL_ORDER
 from reference import (
     SCALE,
-    fuzzy_pairwise_array,
+    fuzzy_pairwise_index,
     oracle_fuzzy_weights,
     possibility,
     scale_tfn,
@@ -144,7 +144,7 @@ def test_c5_scale_fidelity():
     with criterion("criterion 5: comparison-scale TFNs and inverse identities"):
         for intensity in SCALE:
             a = np.array([[1.0, intensity], [1.0 / intensity, 1.0]])
-            f = build_fuzzy_pairwise(PairwiseMatrix(("a", "b"), a)).f
+            f = _TABLE[build_fuzzy_pairwise(PairwiseMatrix(("a", "b"), a))]
             (l, m, u), (il, im, iu) = f[0, 1].tolist(), f[1, 0].tolist()
             assert (l, m, u) == scale_tfn(intensity)
             assert abs(l * iu - 1.0) <= 1e-15
@@ -161,10 +161,9 @@ def test_c6_fuzzy_weight_oracle_equivalence():
                 (int(rng.integers(1, 10)), rng.random() < 0.5)
                 for _ in range(n * (n - 1) // 2)
             ]
-            fp = FuzzyPairwiseMatrix(
-                tuple(f"a{i}" for i in range(n)), fuzzy_pairwise_array(n, specs)
+            extents = synthetic_extents(
+                tuple(f"a{i}" for i in range(n)), fuzzy_pairwise_index(n, specs)
             )
-            extents = synthetic_extents(fp)
             got = fuzzy_weights(extents).w
             want = oracle_fuzzy_weights(extents.s.tolist())
             np.testing.assert_allclose(got, want, atol=1e-10)

@@ -208,6 +208,26 @@ class TestRankCommand:
         assert err == ""
         assert out.count("c15") == 3
 
+    def test_exact_fuzzy_weight_tie_breaks_by_raw_mean(self, capsys, tmp_path):
+        # c2 (mean 2.75) and c6 (mean 1.15) have exactly equal fuzzy weights:
+        # both extents' middle row sums are 13.5, the highest
+        path = tmp_path / "tie.csv"
+        path.write_text(
+            "reviewer,c0,c1,c2,c3,c4,c5,c6,c7,c8,c9,c10\n"
+            "r0,2.7,1.0,2.1,3.3,0.4,3.0,0.2,1.3,2.7,1.0,0.9\n"
+            "r1,1.1,2.2,3.4,3.7,0.2,1.6,2.1,0.9,2.9,2.7,3.5\n",
+            encoding="utf-8",
+        )
+        code, out, err = run_cli(
+            capsys,
+            "rank", "--input", str(path), "--method", "fuzzy-ahp", "--format", "json",
+        )
+        assert code == 0
+        assert err == "warning: 3 ratio pair(s) clamped to [1/9, 9]\n"
+        first, second = json.loads(out)["entries"][:2]
+        assert (first["name"], second["name"]) == ("c2", "c6")
+        assert first["weight"] == second["weight"]
+
     @pytest.mark.parametrize("value", ["-1", "nan", "inf", "-inf"])
     def test_invalid_cr_threshold(self, capsys, two_equal_csv, value):
         # the "=" form keeps argparse from taking "-inf" for an option

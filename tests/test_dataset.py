@@ -13,7 +13,6 @@ from tourrank import (
     CANONICAL_CATEGORY_NAMES,
     DegenerateColumnWarning,
     ExtentVector,
-    FuzzyPairwiseMatrix,
     InputError,
     PairwiseMatrix,
     ParseError,
@@ -269,10 +268,6 @@ _VALID = {
     ScoreVector: [1.0, 2.5],
     PairwiseMatrix: [[1.0, 2.0], [0.5, 1.0]],
     WeightVector: [0.25, 0.75],
-    FuzzyPairwiseMatrix: [
-        [(1.0, 1.0, 1.0), (2 / 3, 1.0, 1.5)],
-        [(2 / 3, 1.0, 1.5), (1.0, 1.0, 1.0)],
-    ],
     ExtentVector: [[0.2, 0.5, 0.8], [0.1, 0.5, 0.9]],
 }
 
@@ -297,12 +292,12 @@ def test_values_freeze_a_read_only_copy(kind):
 def _first(kind):
     """``_VALID[kind]`` cut to its first alternative, on every axis of n."""
     arr = np.array(_VALID[kind])
-    if kind in (PairwiseMatrix, FuzzyPairwiseMatrix):
+    if kind is PairwiseMatrix:
         return arr[:1, :1]
     return arr[:1]
 
 
-#: names -> the InputError message each of the six types gives for them
+#: names -> the InputError message each of the five types gives for them
 _BAD_NAMES = {
     "str": ("ab", "must be a sequence of names, not a str"),
     "repeated": (("a", "a"), "alternative names must be unique"),

@@ -1,25 +1,30 @@
-import tracemalloc
-
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tourrank import (
     ExtentVector,
-    FuzzyPairwiseMatrix,
     InputError,
     PairwiseMatrix,
+    ReviewMatrix,
     ScoreVector,
     build_fuzzy_pairwise,
     build_pairwise,
+    category_means,
+    compare_methods,
     fuzzy_weights,
+    normalize,
     synthetic_extents,
 )
+from tourrank.fuzzy import _TABLE
 
 from reference import (
     SCALE,
-    fuzzy_pairwise_array,
+    exact_extents,
+    exact_fuzzy_weights,
+    fuzzy_pair_specs,
+    fuzzy_pairwise_index,
     inverse,
     oracle_fuzzy_weights,
     possibility,
@@ -31,10 +36,20 @@ def scores_for_tests(vals):
     return ScoreVector(tuple(f"alt{i}" for i in range(len(vals))), np.array(vals))
 
 
+def tfns_of(p):
+    """The (n, n, 3) TFN array of ``build_fuzzy_pairwise(p)``'s index form."""
+    return _TABLE[build_fuzzy_pairwise(p)]
+
+
 def built_pair(ratio):
     """The (2, 2, 3) array that ``build_fuzzy_pairwise`` makes of one ratio."""
     a = np.array([[1.0, ratio], [1.0 / ratio, 1.0]])
-    return build_fuzzy_pairwise(PairwiseMatrix(("a", "b"), a)).f
+    return tfns_of(PairwiseMatrix(("a", "b"), a))
+
+
+def extents_of(vals):
+    p = build_pairwise(scores_for_tests(vals))
+    return synthetic_extents(p.names, build_fuzzy_pairwise(p))
 
 
 def pair_weights(s1, s2):
@@ -82,43 +97,49 @@ class TestTfnOps:
 
 
 class TestBuildFuzzyPairwise:
+    def test_index_form(self):
+        p = PairwiseMatrix(("a", "b", "c"), np.ones((3, 3)))
+        k = build_fuzzy_pairwise(p)
+        assert k.dtype == np.int8 and k.shape == (3, 3)
+        assert not k.flags.writeable
+        # intensity 1 is row 0 on both sides of every pair
+        np.testing.assert_array_equal(k, 0)
+
     def test_all_ones_matrix(self):
         p = PairwiseMatrix(("a", "b", "c"), np.ones((3, 3)))
-        f = build_fuzzy_pairwise(p)
-        assert np.all(f.f == 1.0)
+        assert np.all(tfns_of(p) == 1.0)
 
     def test_intensity_two_pair(self):
         p = PairwiseMatrix(("a", "b"), np.array([[1.0, 2.0], [0.5, 1.0]]))
-        f = build_fuzzy_pairwise(p)
-        assert tuple(f.f[0, 1]) == (0.5, 0.75, 1.0)
-        assert tuple(f.f[1, 0]) == (1.0, 4 / 3, 2.0)
+        f = tfns_of(p)
+        assert tuple(f[0, 1]) == (0.5, 0.75, 1.0)
+        assert tuple(f[1, 0]) == (1.0, 4 / 3, 2.0)
 
     def test_ratio_near_one_rounds_to_just_equal(self):
         p = PairwiseMatrix(("a", "b"), np.array([[1.0, 1.33], [1 / 1.33, 1.0]]))
-        f = build_fuzzy_pairwise(p)
-        assert tuple(f.f[0, 1]) == (1.0, 1.0, 1.0)
+        assert tuple(tfns_of(p)[0, 1]) == (1.0, 1.0, 1.0)
 
     def test_half_ties_round_up(self):
         p = PairwiseMatrix(("a", "b"), np.array([[1.0, 1.5], [1 / 1.5, 1.0]]))
-        assert tuple(build_fuzzy_pairwise(p).f[0, 1]) == (0.5, 0.75, 1.0)
+        assert tuple(tfns_of(p)[0, 1]) == (0.5, 0.75, 1.0)
         p = PairwiseMatrix(("a", "b"), np.array([[1.0, 2.5], [1 / 2.5, 1.0]]))
-        assert tuple(build_fuzzy_pairwise(p).f[0, 1]) == (2 / 3, 1.0, 1.5)
+        assert tuple(tfns_of(p)[0, 1]) == (2 / 3, 1.0, 1.5)
         # 0.6 / 0.4 is 1.4999999999999998: a half step up to rounding noise
         p = PairwiseMatrix(("a", "b"), np.array([[1.0, 0.6 / 0.4], [0.4 / 0.6, 1.0]]))
-        assert tuple(build_fuzzy_pairwise(p).f[0, 1]) == (0.5, 0.75, 1.0)
-        assert tuple(build_fuzzy_pairwise(p).f[1, 0]) == (1.0, 4 / 3, 2.0)
+        assert tuple(tfns_of(p)[0, 1]) == (0.5, 0.75, 1.0)
+        assert tuple(tfns_of(p)[1, 0]) == (1.0, 4 / 3, 2.0)
 
     def test_sub_unit_ratio_uses_inverse_side(self):
         p = PairwiseMatrix(("a", "b"), np.array([[1.0, 0.25], [4.0, 1.0]]))
-        f = build_fuzzy_pairwise(p)
-        assert tuple(f.f[0, 1]) == inverse(scale_tfn(4))
-        assert tuple(f.f[1, 0]) == scale_tfn(4)
+        f = tfns_of(p)
+        assert tuple(f[0, 1]) == inverse(scale_tfn(4))
+        assert tuple(f[1, 0]) == scale_tfn(4)
 
     @pytest.mark.filterwarnings("ignore::tourrank.ClampWarning")
     @given(st.lists(st.floats(0.05, 1.0), min_size=2, max_size=6))
     @settings(max_examples=100, deadline=None)
     def test_lower_triangle_is_exact_inverse(self, vals):
-        f = build_fuzzy_pairwise(build_pairwise(scores_for_tests(vals))).f
+        f = tfns_of(build_pairwise(scores_for_tests(vals)))
         # cell (i, j) against cell (j, i): l times u, and m times m
         np.testing.assert_allclose(f[:, :, 0] * f[:, :, 2].T, 1.0, rtol=0, atol=1e-12)
         np.testing.assert_allclose(f[:, :, 1] * f[:, :, 1].T, 1.0, rtol=0, atol=1e-12)
@@ -126,24 +147,22 @@ class TestBuildFuzzyPairwise:
 
 class TestSyntheticExtents:
     def test_two_equal_alternatives(self):
-        p = PairwiseMatrix(("a", "b"), np.ones((2, 2)))
-        e = synthetic_extents(build_fuzzy_pairwise(p))
+        e = synthetic_extents(("a", "b"), np.zeros((2, 2), dtype=np.int8))
         assert e.s.tolist() == [[0.5, 0.5, 0.5], [0.5, 0.5, 0.5]]
 
     def test_three_equal_alternatives(self):
         p = PairwiseMatrix(("a", "b", "c"), np.ones((3, 3)))
-        e = synthetic_extents(build_fuzzy_pairwise(p))
+        e = synthetic_extents(p.names, build_fuzzy_pairwise(p))
         for t in e.s.tolist():
             assert tuple(t) == pytest.approx((1 / 3, 1 / 3, 1 / 3), abs=1e-15)
 
     def test_two_by_two_hand_computed(self):
         # rows: (1,1,1)+(1,3/2,2) and (1/2,2/3,1)+(1,1,1)
         # totals (7/2, 25/6, 5) -> S_1=(2/5, 3/5, 6/7), S_2=(3/10, 2/5, 4/7)
-        f = np.ones((2, 2, 3))
-        f[0, 1] = (1.0, 1.5, 2.0)
-        f[1, 0] = (0.5, 2 / 3, 1.0)
-        e = synthetic_extents(FuzzyPairwiseMatrix(("a", "b"), f))
-        s1, s2 = e.s.tolist()
+        k = fuzzy_pairwise_index(2, [(4, False)])
+        np.testing.assert_array_equal(_TABLE[k[0, 1]], (1.0, 1.5, 2.0))
+        np.testing.assert_array_equal(_TABLE[k[1, 0]], (0.5, 2 / 3, 1.0))
+        s1, s2 = synthetic_extents(("a", "b"), k).s.tolist()
         assert tuple(s1) == pytest.approx((0.4, 0.6, 6 / 7), abs=1e-12)
         assert tuple(s2) == pytest.approx((0.3, 0.4, 4 / 7), abs=1e-12)
 
@@ -151,11 +170,35 @@ class TestSyntheticExtents:
     @given(st.lists(st.floats(0.05, 1.0), min_size=2, max_size=6))
     @settings(max_examples=100, deadline=None)
     def test_extents_are_valid_tfns(self, vals):
-        e = synthetic_extents(
-            build_fuzzy_pairwise(build_pairwise(scores_for_tests(vals)))
-        )
-        for l, m, u in e.s.tolist():
+        for l, m, u in extents_of(vals).s.tolist():
             assert 0 < l <= m <= u
+
+    @given(
+        st.lists(st.tuples(st.integers(1, 9), st.booleans()), min_size=1, max_size=21)
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_extents_are_the_exact_ones_rounded(self, pair_specs):
+        # an exact integer row sum over an exact integer total, divided once,
+        # is the exact extent correctly rounded: bitwise, not approximately
+        n = next(k for k in range(2, 8) if k * (k - 1) // 2 >= len(pair_specs))
+        e = synthetic_extents(tuple("abcdefg"[:n]), fuzzy_pairwise_index(n, pair_specs))
+        want = [[float(x) for x in t] for t in exact_extents(n, pair_specs)]
+        np.testing.assert_array_equal(e.s, want)
+
+    @pytest.mark.parametrize(
+        "k",
+        [
+            np.zeros((3, 3), dtype=np.int8),
+            np.zeros((2, 3), dtype=np.int8),
+            [[0, 18], [0, 0]],
+            [[0, -1], [0, 0]],
+            [[0, 0], [0]],
+        ],
+        ids=["names-mismatch", "not-square", "past-table", "negative", "ragged"],
+    )
+    def test_bad_index_matrix_rejected(self, k):
+        with pytest.raises(InputError):
+            synthetic_extents(("a", "b"), k)
 
 
 class TestDegreeOfPossibility:
@@ -200,8 +243,8 @@ class TestFuzzyWeights:
         np.testing.assert_allclose(fuzzy_weights(e).w, [1 / 3] * 3, atol=1e-12)
 
     def test_all_just_equal_matrix_exactly_uniform(self):
-        fp = FuzzyPairwiseMatrix(("a", "b", "c", "d"), np.ones((4, 4, 3)))
-        w = fuzzy_weights(synthetic_extents(fp)).w
+        k = np.zeros((4, 4), dtype=np.int8)
+        w = fuzzy_weights(synthetic_extents(("a", "b", "c", "d"), k)).w
         assert list(w) == [0.25, 0.25, 0.25, 0.25]
 
     def test_strict_dominance(self):
@@ -218,26 +261,62 @@ class TestFuzzyWeights:
     @settings(max_examples=200, deadline=None)
     def test_matches_exhaustive_oracle(self, pair_specs):
         n = next(k for k in range(2, 6) if k * (k - 1) // 2 >= len(pair_specs))
-        fp = FuzzyPairwiseMatrix(tuple("abcde"[:n]), fuzzy_pairwise_array(n, pair_specs))
-        e = synthetic_extents(fp)
+        e = synthetic_extents(tuple("abcde"[:n]), fuzzy_pairwise_index(n, pair_specs))
         got = fuzzy_weights(e).w
         want = oracle_fuzzy_weights(e.s.tolist())
         np.testing.assert_allclose(got, want, atol=1e-10)
 
-    def test_permutation_equivariance(self):
-        vals = [0.9, 0.3, 0.5, 0.2]
-        perm = [2, 0, 3, 1]
-        base = fuzzy_weights(
-            synthetic_extents(build_fuzzy_pairwise(build_pairwise(scores_for_tests(vals))))
+    @pytest.mark.filterwarnings("ignore::tourrank.ClampWarning")
+    @given(
+        st.lists(st.floats(0.05, 1.0), min_size=2, max_size=8).flatmap(
+            lambda vals: st.tuples(st.just(vals), st.permutations(range(len(vals))))
         )
-        permuted = fuzzy_weights(
-            synthetic_extents(
-                build_fuzzy_pairwise(
-                    build_pairwise(scores_for_tests([vals[i] for i in perm]))
-                )
-            )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_permutation_equivariance(self, vals_perm):
+        vals, perm = vals_perm
+        base = extents_of(vals)
+        permuted = extents_of([vals[i] for i in perm])
+        # exact row sums: the extents permute bitwise, whatever the row order
+        np.testing.assert_array_equal(permuted.s, base.s[perm])
+        np.testing.assert_allclose(
+            fuzzy_weights(permuted).w, fuzzy_weights(base).w[perm], rtol=0, atol=1e-15
         )
-        np.testing.assert_allclose(permuted.w, base.w[perm], atol=1e-12)
+
+
+#: the first file whose fuzzy order float row sums got wrong: c2 and c6 tie
+#: exactly (middle row sums both 13.5), and c2 has the higher raw mean
+_TIED_RATINGS = [
+    [2.7, 1.0, 2.1, 3.3, 0.4, 3.0, 0.2, 1.3, 2.7, 1.0, 0.9],
+    [1.1, 2.2, 3.4, 3.7, 0.2, 1.6, 2.1, 0.9, 2.9, 2.7, 3.5],
+]
+
+
+@pytest.mark.filterwarnings("ignore::tourrank.ClampWarning")
+@pytest.mark.filterwarnings("ignore::tourrank.ScoreFloorWarning")
+@given(
+    st.integers(3, 12).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(0, 40).map(lambda x: x / 10), min_size=n, max_size=n),
+            min_size=1,
+            max_size=3,
+        )
+    )
+)
+@example(_TIED_RATINGS)
+@settings(max_examples=200, deadline=None)
+def test_fuzzy_order_is_the_exact_order(ratings):
+    """The fuzzy-AHP order is the exact one, exact weight ties broken by raw mean."""
+    values = np.array(ratings).T
+    assume(values.any())
+    names = tuple(f"c{i}" for i in range(len(values)))
+    data = ReviewMatrix(names, values)
+    (report,) = compare_methods(data, methods=("fuzzy_ahp",))
+    means = category_means(data).scores
+    p = build_pairwise(ScoreVector(names, normalize(means)))
+    w = exact_fuzzy_weights(exact_extents(len(names), fuzzy_pair_specs(p.a)))
+    want = sorted(range(len(names)), key=lambda i: (-w[i], -means[i], i))
+    assert [e.name for e in report.entries] == [names[i] for i in want]
 
 
 class TestExtentVectorInvariants:
@@ -265,48 +344,3 @@ class TestExtentVectorInvariants:
         e = ExtentVector(("a", "b"), [(1, 2, 3), (1, 2, 3)])
         with pytest.raises(ValueError):
             e.s[0, 0] = 5.0
-
-
-class TestFuzzyPairwiseMatrixInvariants:
-    def test_bad_diagonal_rejected(self):
-        f = np.ones((2, 2, 3))
-        f[0, 0] = (1.0, 2.0, 3.0)
-        with pytest.raises(InputError):
-            FuzzyPairwiseMatrix(("a", "b"), f)
-
-    def test_non_inverse_lower_triangle_rejected(self):
-        f = np.ones((2, 2, 3))
-        f[0, 1] = (1.0, 1.5, 2.0)
-        f[1, 0] = (1.0, 1.5, 2.0)
-        with pytest.raises(InputError):
-            FuzzyPairwiseMatrix(("a", "b"), f)
-
-    def test_ragged_rejected(self):
-        f = [[(1, 1, 1), (1, 1, 1)], [(1, 1, 1), (1, 1)]]
-        with pytest.raises(InputError):
-            FuzzyPairwiseMatrix(("a", "b"), f)
-
-    def test_validation_holds_one_temporary(self):
-        # the read-only copy plus one (n, n, 3) temporary: 48 B per cell pair
-        n = 300
-        vals = np.random.default_rng(0).uniform(0.5, 4.0, n)
-        p = build_pairwise(scores_for_tests(vals))
-        f = np.array(build_fuzzy_pairwise(p).f)
-        tracemalloc.start()
-        try:
-            FuzzyPairwiseMatrix(p.names, f)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 56 * n**2
-
-    def test_empty_rejected(self):
-        with pytest.raises(InputError):
-            FuzzyPairwiseMatrix((), np.empty((0, 0, 3)))
-
-    def test_unordered_entry_rejected(self):
-        f = np.ones((2, 2, 3))
-        f[0, 1] = (2.0, 1.5, 2.5)
-        f[1, 0] = (0.4, 2 / 3, 0.5)
-        with pytest.raises(InputError):
-            FuzzyPairwiseMatrix(("a", "b"), f)

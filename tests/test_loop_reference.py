@@ -1,8 +1,8 @@
 """The array builders against the per-pair reference loops of ``reference``.
 
 The references are the pair-by-pair formulations of ``build_pairwise`` and
-``build_fuzzy_pairwise``; the library must match them bitwise and emit the
-same warnings.
+``build_fuzzy_pairwise`` (whose index form is read through ``_TABLE``); the
+library must match them bitwise and emit the same warnings.
 """
 
 import warnings
@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tourrank import PairwiseMatrix, ScoreVector, build_fuzzy_pairwise, build_pairwise
+from tourrank.fuzzy import _TABLE
 
 from reference import loop_fuzzy_pairwise, loop_pairwise
 
@@ -64,13 +65,13 @@ def test_build_fuzzy_pairwise_matches_loop(vals):
     p, _ = _built(vals)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        fp = build_fuzzy_pairwise(p)
+        k = build_fuzzy_pairwise(p)
     assert caught == []
-    assert np.array_equal(fp.f, loop_fuzzy_pairwise(p.a))
+    assert np.array_equal(_TABLE[k], loop_fuzzy_pairwise(p.a))
 
 
 def test_fuzzy_loop_covers_out_of_scale_ratios():
     # a hand-built matrix past the scale clips to intensity 9 on both sides
     a = np.array([[1.0, 12.0], [1 / 12.0, 1.0]])
-    fp = build_fuzzy_pairwise(PairwiseMatrix(("a", "b"), a))
-    assert np.array_equal(fp.f, loop_fuzzy_pairwise(a))
+    k = build_fuzzy_pairwise(PairwiseMatrix(("a", "b"), a))
+    assert np.array_equal(_TABLE[k], loop_fuzzy_pairwise(a))
