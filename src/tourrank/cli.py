@@ -1,11 +1,14 @@
 """Command-line front end: rank, validate, export-plotdata.
 
 Every subcommand is one pass: load the names config and the ratings CSV,
-compute, render. ``rank`` prints the method reports as a table, JSON or
-CSV; ``export-plotdata`` is ``rank --format csv`` with the columns
-method, alternative, weight, rank; ``validate`` prints the consistency
-diagnostics of the AHP report, computed as ``rank --method ahp`` computes
-it.
+compute, render. Each method's report becomes one record, and every
+output format renders the records. A record holds, in order: method;
+consistency (lambda_max, n, ci, ri, cr and the consistent verdict, or
+null for manual); mse_vs_manual; entries (rank, name, weight, raw_score).
+``rank`` prints the records as a table (4 decimal places), JSON or CSV
+(6 places); ``export-plotdata`` is ``rank --format csv`` with the columns
+method, alternative, weight, rank; ``validate`` prints the AHP record's
+consistency (6 places), computed as ``rank --method ahp`` computes it.
 
 Exit codes: 0 success, 1 input or parse error (a missing, unreadable or
 non-UTF-8 file, a malformed CSV, a ``--cr-threshold`` that is not a
@@ -27,7 +30,6 @@ import sys
 import warnings
 from typing import Sequence
 
-from .ahp import ConsistencyReport
 from .dataset import load_reviews
 from .errors import ConvergenceError, InputError
 from .ranking import METHODS, RankingReport, compare_methods
@@ -78,78 +80,75 @@ def _warnings_to_stderr():
                 print(f"warning: {w.message}", file=sys.stderr)
 
 
-def _format_table(report: RankingReport, consistent: bool) -> str:
-    lines = [f"method: {report.method}"]
-    if report.consistency is not None:
-        c = report.consistency
-        verdict = "PASS" if consistent else "FAIL"
-        lines.append(
-            f"consistency: lambda_max={c.lambda_max:.4f} CI={c.ci:.4f} "
-            f"RI={c.ri:.4f} CR={c.cr:.4f} [{verdict}]"
-        )
-    lines.append(f"mse_vs_manual: {report.mse_vs_manual:.4f}")
-    width = max(len("alternative"), *(len(e.name) for e in report.entries))
-    lines.append(f"rank  {'alternative':<{width}}  weight  raw_score")
-    for e in report.entries:
-        lines.append(f"{e.rank:4d}  {e.name:<{width}}  {e.weight:.4f}  {e.raw_score:9.4f}")
-    return "\n".join(lines)
-
-
-def _report_dict(report: RankingReport, consistent: bool) -> dict:
-    consistency = None
-    if report.consistency is not None:
-        c = report.consistency
-        consistency = {
-            "lambda_max": round(c.lambda_max, 6),
-            "n": c.n,
-            "ci": round(c.ci, 6),
-            "ri": round(c.ri, 6),
-            "cr": round(c.cr, 6),
-            "consistent": consistent,
-        }
+def _record(report: RankingReport, cr_threshold: float) -> dict:
+    """The one record every output format renders, with unrounded values."""
+    c = report.consistency
     return {
         "method": report.method,
-        "consistency": consistency,
-        "mse_vs_manual": round(report.mse_vs_manual, 6),
+        "consistency": None if c is None else {
+            "lambda_max": c.lambda_max,
+            "n": c.n,
+            "ci": c.ci,
+            "ri": c.ri,
+            "cr": c.cr,
+            "consistent": c.cr <= cr_threshold,
+        },
+        "mse_vs_manual": report.mse_vs_manual,
         "entries": [
-            {
-                "rank": e.rank,
-                "name": e.name,
-                "weight": round(e.weight, 6),
-                "raw_score": round(e.raw_score, 6),
-            }
+            {"rank": e.rank, "name": e.name, "weight": e.weight, "raw_score": e.raw_score}
             for e in report.entries
         ],
     }
 
 
-def _write_csv(reports: list[RankingReport], columns: tuple[str, ...]) -> None:
+def _rounded(value):
+    """``value`` with every float in it rounded to 6 places."""
+    if isinstance(value, dict):
+        return {key: _rounded(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_rounded(item) for item in value]
+    # a bool is an int, not a float: round(True, 6) would print 1
+    return round(value, 6) if isinstance(value, float) else value
+
+
+def _format_table(record: dict) -> str:
+    lines = [f"method: {record['method']}"]
+    c = record["consistency"]
+    if c is not None:
+        lines.append(
+            "consistency: lambda_max={lambda_max:.4f} CI={ci:.4f} RI={ri:.4f} "
+            "CR={cr:.4f} [{verdict}]".format(
+                verdict="PASS" if c["consistent"] else "FAIL", **c
+            )
+        )
+    lines.append(f"mse_vs_manual: {record['mse_vs_manual']:.4f}")
+    width = max(len("alternative"), *(len(e["name"]) for e in record["entries"]))
+    lines.append(f"rank  {'alternative':<{width}}  weight  raw_score")
+    row = "{rank:4d}  {name:<{width}}  {weight:.4f}  {raw_score:9.4f}"
+    lines += (row.format(width=width, **e) for e in record["entries"])
+    return "\n".join(lines)
+
+
+def _write_csv(records: list[dict], columns: tuple[str, ...]) -> None:
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(columns)
-    for r in reports:
-        for e in r.entries:
-            cells = {
-                "method": r.method,
-                "rank": e.rank,
-                "alternative": e.name,
-                "weight": f"{e.weight:.6f}",
-                "raw_score": f"{e.raw_score:.6f}",
-            }
-            writer.writerow([cells[c] for c in columns])
+    for r in records:
+        for e in r["entries"]:
+            cells = {**e, "method": r["method"], "alternative": e["name"]}
+            writer.writerow(
+                f"{cells[c]:.6f}" if isinstance(cells[c], float) else cells[c]
+                for c in columns
+            )
 
 
-def _print_validation(
-    report: ConsistencyReport, threshold: float, consistent: bool
-) -> None:
-    verdict = (
-        f"PASS (CR <= {threshold:g})" if consistent else f"FAIL (CR > {threshold:g})"
-    )
-    print(f"n           {report.n}")
-    print(f"lambda_max  {report.lambda_max:.6f}")
-    print(f"CI          {report.ci:.6f}")
-    print(f"RI          {report.ri:.6f}")
-    print(f"CR          {report.cr:.6f}")
-    print(f"verdict     {verdict}")
+def _print_validation(c: dict, threshold: float) -> None:
+    verdict = "PASS (CR <= {:g})" if c["consistent"] else "FAIL (CR > {:g})"
+    print(f"n           {c['n']}")
+    print(f"lambda_max  {c['lambda_max']:.6f}")
+    print(f"CI          {c['ci']:.6f}")
+    print(f"RI          {c['ri']:.6f}")
+    print(f"CR          {c['cr']:.6f}")
+    print("verdict     " + verdict.format(threshold))
 
 
 def _run(args: argparse.Namespace) -> int:
@@ -177,19 +176,19 @@ def _run(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
-    # the ahp and fuzzy_ahp reports share one consistency report; manual has none
-    consistency = next((r.consistency for r in reports if r.consistency), None)
-    consistent = consistency is None or consistency.cr <= args.cr_threshold
+    records = [_record(r, args.cr_threshold) for r in reports]
+    # the ahp and fuzzy_ahp records share one consistency; manual has none
+    consistency = next((r["consistency"] for r in records if r["consistency"]), None)
     try:
         if args.command == "validate":
-            _print_validation(consistency, args.cr_threshold, consistent)
+            _print_validation(consistency, args.cr_threshold)
         elif args.format == "table":
-            print("\n\n".join(_format_table(r, consistent) for r in reports))
+            print("\n\n".join(_format_table(r) for r in records))
         elif args.format == "json":
-            payload = [_report_dict(r, consistent) for r in reports]
+            payload = _rounded(records)
             print(json.dumps(payload[0] if len(payload) == 1 else payload, indent=2))
         else:
-            _write_csv(reports, args.columns)
+            _write_csv(records, args.columns)
         sys.stdout.flush()
     except BrokenPipeError as exc:
         # The reader closed the pipe early. Point stdout at devnull so the
@@ -199,11 +198,11 @@ def _run(args: argparse.Namespace) -> int:
         os.close(devnull)
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    if consistent:
+    if consistency is None or consistency["consistent"]:
         return EXIT_OK
     if args.command != "validate":  # validate's verdict line already says it
         print(
-            f"warning: consistency ratio {consistency.cr:.6f} exceeds the threshold; "
+            f"warning: consistency ratio {consistency['cr']:.6f} exceeds the threshold; "
             "results are flagged, not suppressed",
             file=sys.stderr,
         )

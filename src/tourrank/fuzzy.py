@@ -121,11 +121,13 @@ def fuzzy_weights(e: ExtentVector) -> WeightVector:
     # row i is S_i (the m2 side), column j is S_j (the m1 side)
     m2, u2 = m[:, None], u[:, None]
     l1, m1 = l[None, :], m[None, :]
+    v = l1 - u2  # divided in place into the height
     with np.errstate(divide="ignore", invalid="ignore"):
         # a zero denominator needs m2 == u2 and m1 == l1, which one of
-        # the first two branches already covers
-        height = (l1 - u2) / ((m2 - u2) - (m1 - l1))
-    v = np.where(m2 >= m1, 1.0, np.where(l1 >= u2, 0.0, height))
+        # the two masks below already covers
+        v /= (m2 - u2) - (m1 - l1)
+    v[l1 >= u2] = 0.0
+    v[m2 >= m1] = 1.0  # after the line above: where both hold, V is 1
     np.fill_diagonal(v, np.inf)
     d = v.min(axis=1)
     return WeightVector(e.names, d / d.sum())

@@ -1,6 +1,7 @@
 import inspect
 import math
 import typing
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from tourrank import (
     principal_eigenvector,
     random_index,
 )
+from tourrank.ahp import SCORE_FLOOR
 
 
 def scores(*values):
@@ -61,6 +63,15 @@ class TestBuildPairwise:
         with pytest.warns(ScoreFloorWarning):
             p = build_pairwise(scores(1.0, 0.0))
         assert p.a[0, 1] == 9.0  # 1 / 1e-6 clamps to the scale maximum
+
+    @pytest.mark.filterwarnings("ignore::tourrank.ClampWarning")
+    def test_floor_is_exclusive(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ScoreFloorWarning)
+            build_pairwise(scores(1.0, SCORE_FLOOR))
+        below = np.nextafter(SCORE_FLOOR, 0)
+        with pytest.warns(ScoreFloorWarning, match=r"^1 score\(s\) below"):
+            build_pairwise(scores(1.0, below))
 
     @pytest.mark.filterwarnings("ignore::tourrank.ClampWarning")
     @given(positive_weights)

@@ -429,8 +429,9 @@ class TestExportPlotdata:
 GOLDEN_DIR = pathlib.Path(__file__).parent / "data" / "golden"
 
 #: case -> (input fixture, argv before --input); each case has the files
-#: <case>.out, <case>.err and <case>.code under GOLDEN_DIR, written once
-#: from an earlier release and never regenerated
+#: <case>.out, <case>.err and <case>.code under GOLDEN_DIR, never
+#: regenerated. The first six were written once from an earlier release,
+#: the rest from commit ba98009, before the renderers shared one record.
 GOLDEN = {
     "rank-all-table": ("travel_csv_path", ["rank", "--method", "all"]),
     "rank-all-json": ("travel_csv_path", ["rank", "--method", "all", "--format", "json"]),
@@ -438,6 +439,24 @@ GOLDEN = {
     "validate": ("travel_csv_path", ["validate"]),
     "export-plotdata": ("travel_csv_path", ["export-plotdata"]),
     "rank-inconsistent": ("inconsistent_csv", ["rank"]),
+    "rank-manual-json": (
+        "travel_csv_path", ["rank", "--method", "manual", "--format", "json"]
+    ),
+    "rank-fuzzy-json": (
+        "travel_csv_path", ["rank", "--method", "fuzzy-ahp", "--format", "json"]
+    ),
+    "rank-manual-table": ("travel_csv_path", ["rank", "--method", "manual"]),
+    "rank-fuzzy-csv": (
+        "travel_csv_path", ["rank", "--method", "fuzzy-ahp", "--format", "csv"]
+    ),
+    "validate-inconsistent": ("inconsistent_csv", ["validate"]),
+    "validate-inconsistent-pass": (
+        "inconsistent_csv", ["validate", "--cr-threshold", "0.5"]
+    ),
+    "export-plotdata-inconsistent": ("inconsistent_csv", ["export-plotdata"]),
+    "rank-all-json-inconsistent": (
+        "inconsistent_csv", ["rank", "--method", "all", "--format", "json"]
+    ),
 }
 
 

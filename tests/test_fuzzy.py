@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -254,6 +256,21 @@ class TestFuzzyWeights:
     def test_single_extent_rejected(self):
         with pytest.raises(InputError):
             fuzzy_weights(ExtentVector(("a",), [(1, 2, 3)]))
+
+    def test_peak_memory_at_n_1000(self):
+        # V is one (n, n) float array, 8 B·n²; the denominator is one more
+        # while V is divided, and each branch mask is 1 B·n²
+        n = 1000
+        rng = np.random.default_rng(0)
+        s = np.sort(rng.uniform(0.01, 0.2, size=(n, 3)), axis=1)
+        e = ExtentVector(tuple(f"a{i}" for i in range(n)), s)
+        tracemalloc.start()
+        try:
+            fuzzy_weights(e)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * n * n
 
     @given(
         st.lists(st.tuples(st.integers(1, 9), st.booleans()), min_size=1, max_size=10)

@@ -19,6 +19,7 @@ from tourrank import (
     normalize,
     rank,
 )
+from tourrank import ranking
 
 from conftest import EXPECTED_MANUAL_ORDER
 
@@ -184,6 +185,14 @@ class TestCompareMethods:
             tied = [e for e in report.entries if e.raw_score == mean]
             assert len({e.weight for e in tied}) == 1
             assert [index[e.name] for e in tied] == sorted(index[e.name] for e in tied)
+
+    @pytest.mark.parametrize("methods", [("ahp",), ("fuzzy_ahp",)])
+    def test_cap_admits_exactly_max_alternatives(self, monkeypatch, methods):
+        monkeypatch.setattr(ranking, "MAX_ALTERNATIVES", 4)
+        (report,) = compare_methods(matrix_from_means([4, 3, 2, 1]), methods=methods)
+        assert len(report.entries) == 4
+        with pytest.raises(InputError, match="5 alternatives exceed the cap of 4"):
+            compare_methods(matrix_from_means([4, 3, 2, 1, 1]), methods=methods)
 
     def test_methods_agree_on_clean_ratios(self):
         reports = compare_methods(matrix_from_means([4.0, 2.0, 1.0]))
