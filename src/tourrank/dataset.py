@@ -6,6 +6,7 @@ import csv
 import math
 import re
 import warnings
+from collections import deque
 from dataclasses import dataclass
 from itertools import chain, islice
 from typing import Iterable, Iterator, Mapping
@@ -188,32 +189,39 @@ def load_reviews(
             f"got {n_cols} column(s)"
         )
 
-    # the blocks live only in this expression: a caller that keeps the
-    # error does not keep them, and ReviewMatrix's copy is the second
-    values = np.concatenate(
-        [np.empty((0, n_cols - 1)), *_body(lines, n_cols, delimiter)]
-    )
+    # the blocks live only in the join: a caller that keeps the error
+    # does not keep them, and ReviewMatrix's copy is the second
+    data = b"".join(deque(_body(lines, n_cols, delimiter)))
+    values = np.frombuffer(data).reshape(-1, n_cols - 1)
     if values.shape[0] == 0:
         raise StructureError("no data rows after the header")
     return ReviewMatrix(_resolve_names(header[1:], names), values.T)
 
 
-def _body(lines: Iterator[str], n_cols: int, delimiter: str) -> Iterator[np.ndarray]:
-    """The ratings of the body rows, one array per block of lines."""
+def _body(lines: Iterator[str], n_cols: int, delimiter: str) -> Iterator[bytes]:
+    """The ratings of the body rows, as float64 bytes, one block of lines each.
+
+    A block's lines go into a deque, which adds fixed 64-line chunks, and
+    its ratings are kept as bytes, one allocation each. A list built from
+    islice is reallocated nine times a block, and an array takes two
+    allocations, one of them 32 bytes. Such chunks land beside a caller's
+    large buffer, such as a StringIO's copy of the text, and can leave its
+    next one no hole to fit; the heap then grows by that buffer's size.
+    """
     row_no = 2
-    while block := list(islice(lines, _BLOCK_LINES)):
+    while block := deque(islice(lines, _BLOCK_LINES)):
         ratings = _load_block(block, n_cols, delimiter)
         if ratings is None:
             # the per-cell loop reads the rest: it names the first bad
             # cell and follows a quoted field across lines
             rest = csv.reader(chain(block, lines), delimiter=delimiter)
-            yield _parse_records(_records(rest, row_no), n_cols, row_no)
+            yield _parse_records(_records(rest, row_no), n_cols, row_no).tobytes()
             return
-        yield ratings
+        yield ratings.tobytes()
         row_no += len(block)
 
 
-def _load_block(block: list[str], n_cols: int, delimiter: str) -> np.ndarray | None:
+def _load_block(block: deque[str], n_cols: int, delimiter: str) -> np.ndarray | None:
     """The block's ratings through numpy's C reader, or None if any check fails.
 
     The block must be lines of text that ``csv.reader`` reads one record
