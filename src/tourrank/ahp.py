@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import ScoreVector, _freeze
+from .dataset import ScoreVector, _NamedArray, _Value
 from .errors import ClampWarning, ConvergenceError, InputError, ScoreFloorWarning
 
 SAATY_MIN = 1.0 / 9.0
@@ -27,15 +26,13 @@ _MAX_ITER = 1000
 _RECIPROCITY_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class PairwiseMatrix:
+class PairwiseMatrix(_NamedArray):
     """Positive reciprocal comparison matrix with unit diagonal."""
 
-    names: tuple[str, ...]
-    a: np.ndarray
+    __slots__ = ("names", "a")
+    _SHAPE = ("n", "n")
 
-    def __post_init__(self):
-        _freeze(self, "names", "a", ("n", "n"))
+    def _check(self):
         a = self.a
         if not np.all(np.isfinite(a)) or np.any(a <= 0):
             raise InputError("comparison entries must be positive and finite")
@@ -49,15 +46,13 @@ class PairwiseMatrix:
         return self.a.shape[0]
 
 
-@dataclass(frozen=True)
-class WeightVector:
+class WeightVector(_NamedArray):
     """Non-negative priority weights summing to one."""
 
-    names: tuple[str, ...]
-    w: np.ndarray
+    __slots__ = ("names", "w")
+    _SHAPE = ("n",)
 
-    def __post_init__(self):
-        _freeze(self, "names", "w", ("n",))
+    def _check(self):
         w = self.w
         if not np.all(np.isfinite(w)) or np.any(w < 0):
             raise InputError("weights must be finite and non-negative")
@@ -65,15 +60,10 @@ class WeightVector:
             raise InputError(f"weights must sum to 1, got {w.sum()!r}")
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
+class ConsistencyReport(_Value):
     """Principal-eigenvalue consistency diagnostics for one matrix."""
 
-    lambda_max: float
-    n: int
-    ci: float
-    ri: float
-    cr: float
+    __slots__ = ("lambda_max", "n", "ci", "ri", "cr")
 
 
 def build_pairwise(s: ScoreVector) -> PairwiseMatrix:

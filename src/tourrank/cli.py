@@ -23,14 +23,13 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import json
 import math
 import os
 import sys
 import warnings
 from typing import Sequence
 
-from .dataset import load_reviews
+from .dataset import _check_delimiter, load_reviews
 from .errors import ConvergenceError, InputError
 from .ranking import METHODS, RankingReport, compare_methods
 
@@ -157,6 +156,8 @@ def _run(args: argparse.Namespace) -> int:
     source = args.names_config  # the file being read, named if it is not UTF-8
     try:
         with _warnings_to_stderr():
+            # load_reviews' own delimiter rule, before any file is opened
+            _check_delimiter(args.delimiter)
             names = load_names_config(source) if source else None
             source = args.input
             with open(source, newline="", encoding="utf-8") as fh:
@@ -185,6 +186,8 @@ def _run(args: argparse.Namespace) -> int:
         elif args.format == "table":
             print("\n\n".join(_format_table(r) for r in records))
         elif args.format == "json":
+            import json  # only this format needs it; the others skip the import
+
             payload = _rounded(records)
             print(json.dumps(payload[0] if len(payload) == 1 else payload, indent=2))
         else:
@@ -276,13 +279,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         problem = "cr-threshold must be positive"
     elif not math.isfinite(args.cr_threshold):
         problem = "cr-threshold must be finite"
-    elif len(args.delimiter) != 1:
-        problem = "delimiter must be a single character"
     else:
         return _run(args)
     print(f"error: {problem}", file=sys.stderr)
     return EXIT_INPUT
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -7,7 +7,6 @@ import math
 import re
 import warnings
 from collections import deque
-from dataclasses import dataclass
 from itertools import chain, islice
 from typing import Iterable, Iterator, Mapping
 
@@ -57,53 +56,124 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _freeze(
-    value, names: str, array: str, shape: tuple[int | str | None, ...]
-) -> None:
-    """Store ``value``'s names as a tuple and its array as a read-only float copy.
+class _Value:
+    """An immutable value whose fields are its class's ``__slots__``, in order.
+
+    It is built from the fields by position or keyword; ``_DEFAULTS`` maps
+    a field to its default. Assigning or deleting an attribute raises
+    AttributeError. ``repr`` is ``Type(field=value, ...)``, and ``==`` and
+    ``hash`` compare the fields as a tuple. Pickle and copy rebuild the
+    value through the constructor, so its checks run again.
+    """
+
+    __slots__ = ()
+    _DEFAULTS: dict = {}
+
+    def __init__(self, *args, **kwargs):
+        fields = self.__slots__
+        values = {**self._DEFAULTS, **dict(zip(fields, args)), **kwargs}
+        # keywords may name only the fields after the positional ones, and
+        # then every field must have a value
+        if (
+            len(args) > len(fields)
+            or not set(kwargs) <= set(fields[len(args):])
+            or len(values) != len(fields)
+        ):
+            raise TypeError(
+                f"{type(self).__name__}() takes the fields {', '.join(fields)}"
+            )
+        for field in fields:
+            object.__setattr__(self, field, values[field])
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, field) for field in self.__slots__)
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class _NamedArray(_Value):
+    """A value of alternative names and one array, its two fields in that order.
 
     The names must be at least two distinct, non-empty strings, given as a
-    sequence other than a ``str``. ``shape`` states the array's shape:
-    ``"n"`` is the number of names and ``None`` any length. Anything else
-    is an InputError.
+    sequence other than a ``str``; they are stored as a tuple. The array is
+    stored as a read-only float copy whose shape is ``_SHAPE``: ``"n"`` is
+    the number of names and ``None`` any length. ``_check`` then applies
+    the type's own rules. Anything else is an InputError. ``==`` means
+    equal names and ``np.array_equal`` arrays; the values are unhashable.
     """
-    labels = getattr(value, names)
-    if isinstance(labels, str):
-        raise InputError(f"{names} must be a sequence of names, not a str")
-    try:
-        labels = tuple(labels)
-    except TypeError:  # not iterable, and not a str: rejected just below
-        labels = (labels,)
-    # checked before len() and set() see the names: ints would pass both,
-    # and lists would not hash
-    if not all(isinstance(label, str) for label in labels):
-        raise InputError(f"{names} must be a sequence of str")
-    arr = _readonly(getattr(value, array))
-    want = tuple(len(labels) if d == "n" else d for d in shape)
-    if arr.ndim != len(want) or any(
-        d is not None and d != got for d, got in zip(want, arr.shape)
-    ):
-        spec = ", ".join("any" if d is None else str(d) for d in want)
-        raise InputError(f"{array} must have shape ({spec}), got {arr.shape}")
-    if len(labels) < 2:
-        raise InputError(f"need at least 2 alternatives, got {len(labels)}")
-    if not all(labels):
-        raise InputError("alternative names must be non-empty")
-    if len(set(labels)) != len(labels):
-        raise InputError("alternative names must be unique")
-    object.__setattr__(value, names, labels)
-    object.__setattr__(value, array, arr)
+
+    __slots__ = ()
+    _SHAPE: tuple[int | str | None, ...] = ()
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        names, array = self.__slots__
+        labels = getattr(self, names)
+        if isinstance(labels, str):
+            raise InputError(f"{names} must be a sequence of names, not a str")
+        try:
+            labels = tuple(labels)
+        except TypeError:  # not iterable, and not a str: rejected just below
+            labels = (labels,)
+        # checked before len() and set() see the names: ints would pass both,
+        # and lists would not hash
+        if not all(isinstance(label, str) for label in labels):
+            raise InputError(f"{names} must be a sequence of str")
+        arr = _readonly(getattr(self, array))
+        want = tuple(len(labels) if d == "n" else d for d in self._SHAPE)
+        if arr.ndim != len(want) or any(
+            d is not None and d != got for d, got in zip(want, arr.shape)
+        ):
+            spec = ", ".join("any" if d is None else str(d) for d in want)
+            raise InputError(f"{array} must have shape ({spec}), got {arr.shape}")
+        if len(labels) < 2:
+            raise InputError(f"need at least 2 alternatives, got {len(labels)}")
+        if not all(labels):
+            raise InputError("alternative names must be non-empty")
+        if len(set(labels)) != len(labels):
+            raise InputError("alternative names must be unique")
+        object.__setattr__(self, names, labels)
+        object.__setattr__(self, array, arr)
+        self._check()
+
+    def _check(self) -> None:
+        """The type's own rules on the stored array; a broken one is an InputError."""
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        (names, array), (other_names, other_array) = self._fields(), other._fields()
+        return names == other_names and np.array_equal(array, other_array)
+
+    __hash__ = None
 
 
-@dataclass(frozen=True)
-class ReviewMatrix:
+class ReviewMatrix(_NamedArray):
     """Ratings with one row per alternative and one column per reviewer."""
 
-    alternatives: tuple[str, ...]
-    values: np.ndarray
+    __slots__ = ("alternatives", "values")
+    _SHAPE = ("n", None)
 
-    def __post_init__(self):
-        _freeze(self, "alternatives", "values", ("n", None))
+    def _check(self):
         vals = self.values
         if vals.shape[1] < 1:
             raise InputError("need at least 1 reviewer column")
@@ -123,15 +193,13 @@ class ReviewMatrix:
         return self.values.shape[1]
 
 
-@dataclass(frozen=True)
-class ScoreVector:
+class ScoreVector(_NamedArray):
     """One non-negative score per alternative, in alternative order."""
 
-    alternatives: tuple[str, ...]
-    scores: np.ndarray
+    __slots__ = ("alternatives", "scores")
+    _SHAPE = ("n",)
 
-    def __post_init__(self):
-        _freeze(self, "alternatives", "scores", ("n",))
+    def _check(self):
         if not np.all(np.isfinite(self.scores)) or np.any(self.scores < 0):
             raise InputError("scores must be finite and non-negative")
 
@@ -172,8 +240,9 @@ def load_reviews(
         ParseError: non-numeric cell, with its 1-based row/column.
         RatingRangeError: rating outside [0, 4].
         InputError: ``source`` is a ``str``, which would read as one line
-            per character.
+            per character, or ``delimiter`` is not one character.
     """
+    _check_delimiter(delimiter)
     if isinstance(source, str):
         raise InputError(
             "load_reviews takes a text stream or an iterable of lines, not a str"
@@ -196,6 +265,12 @@ def load_reviews(
     if values.shape[0] == 0:
         raise StructureError("no data rows after the header")
     return ReviewMatrix(_resolve_names(header[1:], names), values.T)
+
+
+def _check_delimiter(delimiter: str) -> None:
+    """Raise InputError unless ``delimiter`` is one character, as csv needs."""
+    if len(delimiter) != 1:
+        raise InputError("delimiter must be a single character")
 
 
 def _body(lines: Iterator[str], n_cols: int, delimiter: str) -> Iterator[bytes]:

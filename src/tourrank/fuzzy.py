@@ -7,13 +7,12 @@ Chang's extent analysis on arrays: a triangular fuzzy number (TFN) is a row
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .ahp import PairwiseMatrix, WeightVector
-from .dataset import _freeze, _readonly
+from .dataset import _NamedArray, _readonly
 from .errors import InputError
 
 
@@ -39,15 +38,13 @@ _TABLE = _readonly(np.concatenate([_SCALE, 1.0 / _SCALE[:, ::-1]]))
 _TABLE_1260 = np.rint(1260 * _TABLE).astype(np.int64)
 
 
-@dataclass(frozen=True)
-class ExtentVector:
+class ExtentVector(_NamedArray):
     """Fuzzy synthetic extents, stored as an (n, 3) array of (l, m, u) rows."""
 
-    names: tuple[str, ...]
-    s: np.ndarray
+    __slots__ = ("names", "s")
+    _SHAPE = ("n", 3)
 
-    def __post_init__(self):
-        _freeze(self, "names", "s", ("n", 3))
+    def _check(self):
         s = self.s
         if not np.all(np.isfinite(s)) or np.any(s <= 0):
             raise InputError("TFN components must be positive and finite")

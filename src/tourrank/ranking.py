@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .ahp import ConsistencyReport, WeightVector, build_pairwise, evaluate_consistency
-from .dataset import ReviewMatrix, ScoreVector, _readonly, category_means, normalize
+from .dataset import (
+    ReviewMatrix,
+    ScoreVector,
+    _readonly,
+    _Value,
+    category_means,
+    normalize,
+)
 from .errors import InputError
 from .fuzzy import build_fuzzy_pairwise, fuzzy_weights, synthetic_extents
 
@@ -22,22 +28,21 @@ METHODS = ("ahp", "fuzzy_ahp", "manual")
 MAX_ALTERNATIVES = 3000
 
 
-@dataclass(frozen=True)
-class RankEntry:
-    rank: int
-    name: str
-    weight: float
-    raw_score: float
+class RankEntry(_Value):
+    """One alternative's place in a method's ranking."""
+
+    __slots__ = ("rank", "name", "weight", "raw_score")
 
 
-@dataclass(frozen=True)
-class RankingReport:
-    """One method's ranked weights plus its diagnostics."""
+class RankingReport(_Value):
+    """One method's ranked weights plus its diagnostics.
 
-    method: str
-    entries: tuple[RankEntry, ...]
-    mse_vs_manual: float
-    consistency: ConsistencyReport | None = None
+    ``entries`` is a tuple of :class:`RankEntry`, best first;
+    ``consistency`` is a :class:`ConsistencyReport`, or None for manual.
+    """
+
+    __slots__ = ("method", "entries", "mse_vs_manual", "consistency")
+    _DEFAULTS = {"consistency": None}
 
 
 def manual_baseline(s: ScoreVector) -> WeightVector:

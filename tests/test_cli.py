@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import gc
 import io
 import json
 import os
@@ -13,14 +14,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tourrank
+import tourrank.__main__
 from tourrank.cli import main
 from tourrank.ranking import MAX_ALTERNATIVES
+
+#: the source tree of the tourrank under test, for fresh interpreters
+SRC = pathlib.Path(tourrank.__file__).resolve().parents[1]
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_python(*args, **kwargs):
+    """A fresh interpreter on ``args``, importing the tourrank under test."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run([sys.executable, *args], env=env, **kwargs)
 
 
 @pytest.fixture()
@@ -471,6 +482,62 @@ def test_output_matches_golden(capsys, request, case):
     assert code == int(golden.with_suffix(".code").read_text(encoding="utf-8"))
 
 
+@pytest.mark.parametrize("case", list(GOLDEN))
+def test_process_output_matches_golden(request, case):
+    # the whole process a shell user runs: the process entry, gc.freeze
+    # included, and the interpreter's exit
+    fixture, argv = GOLDEN[case]
+    path = request.getfixturevalue(fixture)
+    proc = run_python(
+        "-m", "tourrank", *argv, "--input", str(path),
+        stdin=subprocess.DEVNULL,
+        capture_output=True,
+    )
+    golden = GOLDEN_DIR / case
+    assert proc.stdout == golden.with_suffix(".out").read_bytes()
+    assert proc.stderr == golden.with_suffix(".err").read_bytes()
+    assert proc.returncode == int(golden.with_suffix(".code").read_text())
+
+
+def test_process_entry_freezes_then_runs_the_cli(monkeypatch):
+    entry = tourrank.__main__
+    calls = []
+    monkeypatch.setattr(entry.gc, "freeze", lambda: calls.append("freeze"))
+    monkeypatch.setattr(entry.cli, "main", lambda: calls.append("main") or 7)
+    assert entry.main() == 7
+    assert calls == ["freeze", "main"]
+
+
+def test_installed_script_is_the_process_entry():
+    pyproject = (SRC.parent / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = pyproject.split("[project.scripts]\n", 1)[1].split("\n", 1)[0]
+    assert scripts == 'tourrank = "tourrank.__main__:main"'
+
+
+def test_in_process_main_freezes_nothing(capsys, travel_csv_path):
+    # tests and the benchmark call main in-process; a freeze there would
+    # keep their garbage for good
+    before = gc.get_freeze_count()
+    assert run_cli(capsys, "rank", "--input", str(travel_csv_path))[0] == 0
+    assert gc.get_freeze_count() == before
+
+
+def test_cli_import_adds_no_dataclasses_json_or_copy():
+    # module sets, not timings: each of these costs every process import time
+    # that numpy's import has not already paid
+    proc = run_python(
+        "-c",
+        "import sys, numpy; before = set(sys.modules); import tourrank.cli; "
+        "print(*sorted(set(sys.modules) - before))",
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    added = set(proc.stdout.split())
+    assert "tourrank.cli" in added
+    assert not added & {"dataclasses", "json", "copy"}
+
+
 #: case -> (input bytes, names-config bytes or None, text the error must name)
 UNREADABLE = {
     "input-not-utf8": (b"id,a,b\nr1,\xff,1\n", None, "input.csv"),
@@ -496,6 +563,19 @@ def test_unreadable_input_is_one_error_line(capsys, tmp_path, command, case):
     assert "Traceback" not in err
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert len(errors) == 1 and named in errors[0]
+
+
+@pytest.mark.parametrize("command", ["rank", "validate", "export-plotdata"])
+@pytest.mark.parametrize("delimiter", ["", ";;"])
+def test_bad_delimiter_is_reported_before_any_file_is_opened(
+    capsys, tmp_path, command, delimiter
+):
+    missing = str(tmp_path / "missing")
+    for files in (["--input", missing], ["--input", missing, "--names-config", missing]):
+        argv = [command, *files, f"--delimiter={delimiter}"]
+        assert run_cli(capsys, *argv) == (
+            1, "", "error: delimiter must be a single character\n"
+        )
 
 
 #: case -> (input text, names-config text or None, the whole of stderr)
@@ -593,14 +673,12 @@ def test_closed_stdout_pipe_is_one_error_line(travel_csv_path, argv):
     # stdout is a pipe whose reader is gone before anything is written
     read_end, write_end = os.pipe()
     os.close(read_end)
-    src = pathlib.Path(tourrank.__file__).resolve().parents[1]
     try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "tourrank", *argv, "--input", str(travel_csv_path)],
+        proc = run_python(
+            "-m", "tourrank", *argv, "--input", str(travel_csv_path),
             stdout=write_end,
             stderr=subprocess.PIPE,
             text=True,
-            env={**os.environ, "PYTHONPATH": str(src)},
         )
     finally:
         os.close(write_end)

@@ -1,5 +1,6 @@
-import dataclasses
+import copy
 import io
+import pickle
 import tracemalloc
 import warnings
 
@@ -11,11 +12,14 @@ from hypothesis.extra.numpy import arrays
 
 from tourrank import (
     CANONICAL_CATEGORY_NAMES,
+    ConsistencyReport,
     DegenerateColumnWarning,
     ExtentVector,
     InputError,
     PairwiseMatrix,
     ParseError,
+    RankEntry,
+    RankingReport,
     RatingRangeError,
     ReviewMatrix,
     ScoreVector,
@@ -79,6 +83,11 @@ class TestLoadReviews:
     def test_alternate_delimiter(self):
         m = _load("id;a;b\nr1;1.5;2.5\n", delimiter=";")
         assert m.alternatives == ("a", "b")
+
+    @pytest.mark.parametrize("delimiter", ["", ";;"])
+    def test_delimiter_must_be_one_character(self, delimiter):
+        with pytest.raises(InputError, match="delimiter must be a single character"):
+            _load("id,a,b\nr1,1,2\n", delimiter=delimiter)
 
     def test_names_override(self):
         m = _load("id,a,b\nr1,1,2\n", names={2: "Beaches"})
@@ -274,7 +283,8 @@ _VALID = {
 
 @pytest.mark.parametrize("kind", list(_VALID))
 def test_values_freeze_a_read_only_copy(kind):
-    names_field, array_field = (f.name for f in dataclasses.fields(kind))
+    # a value type's fields are its __slots__: the names, then the array
+    names_field, array_field = kind.__slots__
     given = np.array(_VALID[kind])
     value = kind(["a", "b"], given)
     stored = getattr(value, array_field)
@@ -283,10 +293,128 @@ def test_values_freeze_a_read_only_copy(kind):
     np.testing.assert_array_equal(stored, _VALID[kind])
     assert getattr(value, names_field) == ("a", "b")
     for field in (names_field, array_field):
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
             setattr(value, field, getattr(value, field))
     with pytest.raises(InputError, match="must have shape"):
         kind(["a", "b", "c"], _VALID[kind])
+
+
+_CONSISTENCY = ConsistencyReport(lambda_max=2.0, n=2, ci=0.0, ri=0.0, cr=0.0)
+_ENTRY = RankEntry(rank=1, name="a", weight=0.75, raw_score=2.5)
+
+#: one value of each of the eight value types -> its repr, as the frozen
+#: dataclasses these types once were printed it
+_REPRS = [
+    (
+        ReviewMatrix(("a", "b"), _VALID[ReviewMatrix]),
+        "ReviewMatrix(alternatives=('a', 'b'), values=array([[1. , 2. , 0.5],\n"
+        "       [3. , 4. , 0. ]]))",
+    ),
+    (
+        ScoreVector(("a", "b"), _VALID[ScoreVector]),
+        "ScoreVector(alternatives=('a', 'b'), scores=array([1. , 2.5]))",
+    ),
+    (
+        PairwiseMatrix(("a", "b"), _VALID[PairwiseMatrix]),
+        "PairwiseMatrix(names=('a', 'b'), a=array([[1. , 2. ],\n       [0.5, 1. ]]))",
+    ),
+    (
+        WeightVector(("a", "b"), _VALID[WeightVector]),
+        "WeightVector(names=('a', 'b'), w=array([0.25, 0.75]))",
+    ),
+    (
+        ExtentVector(("a", "b"), _VALID[ExtentVector]),
+        "ExtentVector(names=('a', 'b'), s=array([[0.2, 0.5, 0.8],\n"
+        "       [0.1, 0.5, 0.9]]))",
+    ),
+    (_CONSISTENCY, "ConsistencyReport(lambda_max=2.0, n=2, ci=0.0, ri=0.0, cr=0.0)"),
+    (_ENTRY, "RankEntry(rank=1, name='a', weight=0.75, raw_score=2.5)"),
+    (
+        RankingReport("ahp", (_ENTRY,), 0.01, _CONSISTENCY),
+        "RankingReport(method='ahp', entries=(RankEntry(rank=1, name='a', "
+        "weight=0.75, raw_score=2.5),), mse_vs_manual=0.01, "
+        "consistency=ConsistencyReport(lambda_max=2.0, n=2, ci=0.0, ri=0.0, cr=0.0))",
+    ),
+]
+_VALUES = [value for value, _ in _REPRS]
+_ARRAY_TYPES = tuple(_VALID)
+
+
+def _rebuilt(value, **changes):
+    """``value``'s type built from its fields by keyword, with ``changes``."""
+    fields = {f: getattr(value, f) for f in type(value).__slots__}
+    return type(value)(**{**fields, **changes})
+
+
+@pytest.mark.parametrize("value, text", _REPRS, ids=lambda v: type(v).__name__)
+def test_value_repr_names_every_field(value, text):
+    assert repr(value) == text
+
+
+@pytest.mark.parametrize("value", _VALUES, ids=lambda v: type(v).__name__)
+def test_value_fields_cannot_be_set_or_deleted(value):
+    for field in type(value).__slots__:
+        with pytest.raises(AttributeError):
+            setattr(value, field, getattr(value, field))
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+    with pytest.raises(AttributeError):
+        value.extra = 1
+
+
+#: type -> field changes, each giving a valid value unequal to its _REPRS value
+_CHANGES = {
+    ReviewMatrix: [{"alternatives": ("b", "a")}, {"values": [[1, 2, 0.5], [3, 4, 1]]}],
+    ScoreVector: [{"alternatives": ("b", "a")}, {"scores": [1.0, 2.0]}],
+    PairwiseMatrix: [{"names": ("b", "a")}, {"a": [[1, 4], [0.25, 1]]}],
+    WeightVector: [{"names": ("b", "a")}, {"w": [0.5, 0.5]}],
+    ExtentVector: [{"names": ("b", "a")}, {"s": [[0.2, 0.5, 0.8], [0.1, 0.4, 0.9]]}],
+    ConsistencyReport: [{"lambda_max": 2.5}, {"cr": 0.1}],
+    RankEntry: [{"rank": 2}, {"raw_score": 2.0}],
+    RankingReport: [{"method": "fuzzy_ahp"}, {"consistency": None}],
+}
+
+
+@pytest.mark.parametrize("value", _VALUES, ids=lambda v: type(v).__name__)
+def test_value_equality_and_hash(value):
+    twin = _rebuilt(value)
+    assert twin == value and not twin != value
+    assert value != object()
+    for change in _CHANGES[type(value)]:
+        assert _rebuilt(value, **change) != value
+    if isinstance(value, _ARRAY_TYPES):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(value)
+    else:
+        fields = tuple(getattr(value, f) for f in type(value).__slots__)
+        assert hash(twin) == hash(value) == hash(fields)
+
+
+@pytest.mark.parametrize("value", _VALUES, ids=lambda v: type(v).__name__)
+@pytest.mark.parametrize(
+    "clone",
+    [lambda v: pickle.loads(pickle.dumps(v)), copy.copy, copy.deepcopy],
+    ids=["pickle", "copy", "deepcopy"],
+)
+def test_value_round_trips_through_its_constructor(value, clone):
+    restored = clone(value)
+    assert type(restored) is type(value) and restored == value
+    if isinstance(value, _ARRAY_TYPES):
+        # an unpickled array is writeable: read-only means the freeze ran again
+        assert not getattr(restored, type(value).__slots__[1]).flags.writeable
+
+
+def test_value_fields_by_position_or_keyword():
+    assert RankEntry(1, "a", weight=0.75, raw_score=2.5) == _ENTRY
+    assert RankingReport("manual", (_ENTRY,), 0.0).consistency is None
+    for args, kwargs in [
+        ((1, "a", 0.75), {}),
+        ((1, "a", 0.75, 2.5, 9), {}),
+        ((1, "a", 0.75, 2.5), {"rank": 1}),
+        ((1, "a", 0.75), {"raw_score": 2.5, "extra": 0}),
+    ]:
+        with pytest.raises(TypeError, match="takes the fields rank, name, weight"):
+            RankEntry(*args, **kwargs)
 
 
 def _first(kind):
