@@ -9,14 +9,9 @@ with degree-of-possibility weighting). Reports compare the methods by MSE.
 from .ahp import (
     ConsistencyReport,
     PairwiseMatrix,
-    RANDOM_INDEX,
     WeightVector,
     build_pairwise,
-    consistency_index,
-    consistency_ratio,
     evaluate_consistency,
-    principal_eigenvector,
-    random_index,
 )
 from .dataset import (
     CANONICAL_CATEGORY_NAMES,
@@ -65,7 +60,6 @@ __all__ = [
     "METHODS",
     "PairwiseMatrix",
     "ParseError",
-    "RANDOM_INDEX",
     "RankEntry",
     "RankingReport",
     "RatingRangeError",
@@ -78,16 +72,12 @@ __all__ = [
     "build_pairwise",
     "category_means",
     "compare_methods",
-    "consistency_index",
-    "consistency_ratio",
     "evaluate_consistency",
     "fuzzy_weights",
     "load_reviews",
     "manual_baseline",
     "mse",
     "normalize",
-    "principal_eigenvector",
-    "random_index",
     "rank",
     "synthetic_extents",
 ]

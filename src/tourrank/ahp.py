@@ -15,8 +15,8 @@ SAATY_MAX = 9.0
 #: Floor applied to scores before forming ratios, so zero means stay finite.
 SCORE_FLOOR = 1e-6
 
-#: Saaty random consistency index for matrix orders 1..15.
-RANDOM_INDEX = (
+# Saaty random consistency index for matrix orders 1..15
+_RANDOM_INDEX = (
     0.0, 0.0, 0.58, 0.90, 1.12, 1.24, 1.32, 1.41,
     1.45, 1.49, 1.51, 1.54, 1.56, 1.58, 1.59,
 )
@@ -101,12 +101,27 @@ def build_pairwise(s: ScoreVector) -> PairwiseMatrix:
     return PairwiseMatrix(s.alternatives, a)
 
 
-def principal_eigenvector(p: PairwiseMatrix) -> tuple[WeightVector, float]:
-    """Dominant eigenvector by power iteration, plus its eigenvalue.
+def _random_index(n: int) -> float:
+    """Random consistency index for matrix order n >= 1.
 
-    Starts from the uniform vector and stops once successive sum-normalized
-    iterates agree to 1e-10 in max-norm; the eigenvalue is the Rayleigh
-    quotient of the converged iterate.
+    Saaty's table for n <= 15; above it the linear fit of random-matrix
+    lambda_max by Alonso & Lamata (2006), RI(n) = (1.7699 n - 4.3513) / (n - 1).
+    """
+    if n <= len(_RANDOM_INDEX):
+        return _RANDOM_INDEX[n - 1]
+    return (1.7699 * n - 4.3513) / (n - 1)
+
+
+def evaluate_consistency(p: PairwiseMatrix) -> tuple[WeightVector, ConsistencyReport]:
+    """Eigenvector weights plus the Saaty consistency report for one matrix.
+
+    The weights are the dominant eigenvector by power iteration: it starts
+    from the uniform vector and stops once successive sum-normalized
+    iterates agree to 1e-10 in max-norm. lambda_max is the Rayleigh
+    quotient of the converged iterate, CI = (lambda_max - n) / (n - 1) and
+    CR = CI / RI(n). Orders whose random index is 0 (n <= 2) are always
+    consistent, so CR is 0 there. Judging CR against a threshold is left
+    to the caller, as the CLI's ``--cr-threshold`` does.
 
     Raises:
         ConvergenceError: 1000 steps ran without converging; carries the
@@ -121,59 +136,20 @@ def principal_eigenvector(p: PairwiseMatrix) -> tuple[WeightVector, float]:
         y = (a * x).sum(axis=1)
         x_next = y / y.sum()
         if np.max(np.abs(x_next - x)) < _TOL:
-            lam = float(x_next @ (a @ x_next)) / float(x_next @ x_next)
-            return WeightVector(p.names, x_next), lam
+            break
         x = x_next
-    raise ConvergenceError(
-        f"power iteration did not converge within {_MAX_ITER} iterations",
-        last_weights=x,
-        iterations=_MAX_ITER,
-    )
-
-
-def consistency_index(lambda_max: float, n: int) -> float:
-    """CI = (lambda_max - n) / (n - 1); defined as 0 for n < 2."""
-    if n < 2:
-        return 0.0
-    if not np.isfinite(lambda_max):
-        raise InputError("lambda_max must be finite")
-    return (lambda_max - n) / (n - 1)
-
-
-def random_index(n: int) -> float:
-    """Random consistency index for matrix order n >= 1.
-
-    Saaty's table for n <= 15; above it the linear fit of random-matrix
-    lambda_max by Alonso & Lamata (2006), RI(n) = (1.7699 n - 4.3513) / (n - 1).
-    """
-    if n < 1:
-        raise InputError(f"random index undefined for n={n}; n must be >= 1")
-    if n <= len(RANDOM_INDEX):
-        return RANDOM_INDEX[n - 1]
-    return (1.7699 * n - 4.3513) / (n - 1)
-
-
-def consistency_ratio(ci: float, n: int) -> float:
-    """CR = CI / RI(n).
-
-    Orders whose random index is 0 (n <= 2) are always consistent, so CR
-    is defined as 0 there. Judging CR against a threshold is left to the
-    caller, as the CLI's ``--cr-threshold`` does.
-    """
-    if not np.isfinite(ci):
-        raise InputError("ci must be finite")
-    ri = random_index(n)
-    return ci / ri if ri > 0 else 0.0
-
-
-def evaluate_consistency(p: PairwiseMatrix) -> tuple[WeightVector, ConsistencyReport]:
-    """Eigenvector weights plus the full consistency report for one matrix."""
-    weights, lam = principal_eigenvector(p)
-    n = p.order
+    else:
+        raise ConvergenceError(
+            f"power iteration did not converge within {_MAX_ITER} iterations",
+            last_weights=x,
+            iterations=_MAX_ITER,
+        )
+    lam = float(x_next @ (a @ x_next)) / float(x_next @ x_next)
     # lambda_max >= n for every positive reciprocal matrix, so a negative CI
     # is rounding (-2e-16 on a rank-1 matrix); 0.0 first keeps -0.0 out too
-    ci = max(0.0, consistency_index(lam, n))
+    ci = max(0.0, (lam - n) / (n - 1))
+    ri = _random_index(n)
     report = ConsistencyReport(
-        lambda_max=lam, n=n, ci=ci, ri=random_index(n), cr=consistency_ratio(ci, n)
+        lambda_max=lam, n=n, ci=ci, ri=ri, cr=ci / ri if ri > 0 else 0.0
     )
-    return weights, report
+    return WeightVector(p.names, x_next), report

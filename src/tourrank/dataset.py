@@ -41,6 +41,11 @@ CANONICAL_CATEGORY_NAMES = (
 
 _GENERIC_HEADER = re.compile(r"^category\s*\d+$", re.IGNORECASE)
 
+# Unicode category Cc (newline, tab, ESC, ...) and U+2028 and U+2029, which
+# str.splitlines also breaks on: in a name, each could forge a line of output
+# or a terminal escape
+_CONTROL = re.compile(r"[\x00-\x1f\x7f-\x9f\u2028\u2029]")
+
 #: Lines handed to one ``np.loadtxt`` call. The first block that fails a
 #: check is parsed again, with the rest of the source, by the per-cell loop.
 _BLOCK_LINES = 256
@@ -113,12 +118,14 @@ class _Value:
 class _NamedArray(_Value):
     """A value of alternative names and one array, its two fields in that order.
 
-    The names must be at least two distinct, non-empty strings, given as a
-    sequence other than a ``str``; they are stored as a tuple. The array is
-    stored as a read-only float copy whose shape is ``_SHAPE``: ``"n"`` is
-    the number of names and ``None`` any length. ``_check`` then applies
-    the type's own rules. Anything else is an InputError. ``==`` means
-    equal names and ``np.array_equal`` arrays; the values are unhashable.
+    The names must be at least two distinct, non-empty strings with no
+    control character (Unicode category Cc) and no U+2028 or U+2029, given
+    as a sequence other than a ``str``; they are stored as a tuple. The
+    array is stored as a read-only float copy whose shape is ``_SHAPE``:
+    ``"n"`` is the number of names and ``None`` any length. ``_check``
+    then applies the type's own rules. Anything else is an InputError.
+    ``==`` means equal names and ``np.array_equal`` arrays; the values are
+    unhashable.
     """
 
     __slots__ = ()
@@ -149,6 +156,10 @@ class _NamedArray(_Value):
             raise InputError(f"need at least 2 alternatives, got {len(labels)}")
         if not all(labels):
             raise InputError("alternative names must be non-empty")
+        if any(map(_CONTROL.search, labels)):
+            raise InputError(
+                "alternative names must not hold control characters or line separators"
+            )
         if len(set(labels)) != len(labels):
             raise InputError("alternative names must be unique")
         object.__setattr__(self, names, labels)

@@ -87,16 +87,24 @@ def synthetic_extents(names: Sequence[str], k: np.ndarray) -> ExtentVector:
     (rowsum_l / total_u, rowsum_m / total_m, rowsum_u / total_l). The sums
     are exact integers over 1260 * _TABLE, from each row's count of every
     table row, so rows that are equal in exact arithmetic give bitwise
-    equal extents. ``k`` must be (n, n) for n names, with cells in 0..17.
+    equal extents. ``k`` must be an (n, n) integer array for n names, with
+    cells in 0..17.
     """
     n = len(names)
     try:
         k = np.asarray(k)
     except ValueError as exc:  # ragged
         raise InputError(f"k is not a regular array: {exc}") from None
-    if k.shape != (n, n) or np.any((k < 0) | (k > 17)):
-        raise InputError(f"k must be an ({n}, {n}) array of scale-table rows 0..17")
-    counts = np.bincount((k + 18 * np.arange(n)[:, None]).ravel(), minlength=18 * n)
+    # a float cell may not be whole
+    if k.shape != (n, n) or k.dtype.kind not in "iu" or np.any((k < 0) | (k > 17)):
+        raise InputError(
+            f"k must be an ({n}, {n}) integer array of scale-table rows 0..17"
+        )
+    # cell (i, j) counts in bin 18 i + k[i, j]; intp, as uint64 plus int64
+    # would give floats, which bincount rejects
+    bins = k.astype(np.intp)
+    bins += 18 * np.arange(n)[:, None]
+    counts = np.bincount(bins.ravel(), minlength=18 * n)
     rows = counts.reshape(n, 18) @ _TABLE_1260
     # the diagonal's (1, 1, 1) makes every total positive; the 1260 cancels.
     # A total is at most 5670 * n^2, below 2^53 for any n whose (n, n)

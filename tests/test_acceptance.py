@@ -18,7 +18,6 @@ from tourrank import (
     ExtentVector,
     build_fuzzy_pairwise,
     compare_methods,
-    consistency_index,
     evaluate_consistency,
     fuzzy_weights,
     mse,
@@ -210,4 +209,7 @@ def test_c8_consistency_gate(travel_csv_path, inconsistent_csv):
         assert "method: ahp" in proc.stdout  # flagged, not suppressed
         assert "[FAIL]" in proc.stdout
 
-        assert consistency_index(4.37, 4) == pytest.approx(0.12333, abs=1e-5)
+        # the library's report on the same matrix: CI = (lambda_max - n) / (n - 1)
+        _, report = evaluate_consistency(PairwiseMatrix(tuple("WXYZ"), a))
+        assert report.ci == pytest.approx((lam - 4) / 3, abs=1e-9)
+        assert report.cr == pytest.approx(oracle_cr, abs=1e-9)

@@ -19,13 +19,9 @@ from tourrank import (
     WeightVector,
     build_pairwise,
     category_means,
-    consistency_index,
-    consistency_ratio,
     evaluate_consistency,
-    principal_eigenvector,
-    random_index,
 )
-from tourrank.ahp import SCORE_FLOOR
+from tourrank.ahp import SCORE_FLOOR, _random_index
 
 
 def scores(*values):
@@ -37,6 +33,20 @@ def ratio_matrix(w):
     return PairwiseMatrix(
         tuple(f"alt{i}" for i in range(len(w))), w[:, None] / w[None, :]
     )
+
+
+#: an inconsistent 3x3 matrix with a known principal eigenvalue
+ORACLE_3X3 = np.array([[1.0, 2.0, 6.0], [0.5, 1.0, 4.0], [1 / 6, 0.25, 1.0]])
+
+#: the clamped ratio matrix of the inconsistent 4x4 fixture's means
+_MEANS_4 = np.array([4.0, 0.5, 0.06, 0.008])
+CLAMPED_4X4 = np.clip(_MEANS_4[:, None] / _MEANS_4[None, :], 1 / 9, 9)
+
+
+def eigen(p):
+    """evaluate_consistency's weights and lambda_max."""
+    weights, report = evaluate_consistency(p)
+    return weights, report.lambda_max
 
 
 positive_weights = st.lists(
@@ -116,21 +126,22 @@ class TestPairwiseMatrixInvariants:
 class TestPrincipalEigenvector:
     def test_consistent_matrix_recovers_weights(self):
         w = np.array([0.5, 0.3, 0.2])
-        wv, lam = principal_eigenvector(ratio_matrix(w))
+        wv, lam = eigen(ratio_matrix(w))
         np.testing.assert_allclose(wv.w, w, atol=1e-9)
         assert lam == pytest.approx(3.0, abs=1e-9)
 
     def test_all_ones_matrix(self):
         p = PairwiseMatrix(("a", "b", "c"), np.ones((3, 3)))
-        wv, lam = principal_eigenvector(p)
+        wv, lam = eigen(p)
         np.testing.assert_allclose(wv.w, [1 / 3, 1 / 3, 1 / 3], atol=1e-12)
         assert lam == pytest.approx(3.0, abs=1e-12)
 
     def test_inconsistent_3x3_matches_eigen_oracle(self):
-        a = np.array([[1.0, 2.0, 6.0], [0.5, 1.0, 4.0], [1 / 6, 0.25, 1.0]])
-        p = PairwiseMatrix(("a", "b", "c"), a)
-        _, lam = principal_eigenvector(p)
-        oracle = max(v.real for v in np.linalg.eigvals(a) if abs(v.imag) < 1e-9)
+        p = PairwiseMatrix(("a", "b", "c"), ORACLE_3X3)
+        _, lam = eigen(p)
+        oracle = max(
+            v.real for v in np.linalg.eigvals(ORACLE_3X3) if abs(v.imag) < 1e-9
+        )
         assert lam == pytest.approx(oracle, abs=1e-8)
         assert lam == pytest.approx(3.0092027127, abs=1e-6)
 
@@ -139,7 +150,7 @@ class TestPrincipalEigenvector:
         a = np.array([[1.0, 1e4, 1 / 3], [1e-4, 1.0, 1e4], [3.0, 1e-4, 1.0]])
         p = PairwiseMatrix(("a", "b", "c"), a)
         with pytest.raises(ConvergenceError) as err:
-            principal_eigenvector(p)
+            eigen(p)
         assert err.value.iterations == 1000
         assert err.value.last_weights.shape == (3,)
 
@@ -160,8 +171,8 @@ class TestPrincipalEigenvector:
         w = np.asarray(vals)
         perm = list(range(len(vals)))
         rnd.shuffle(perm)
-        base, _ = principal_eigenvector(ratio_matrix(w))
-        permuted, _ = principal_eigenvector(ratio_matrix(w[perm]))
+        base, _ = eigen(ratio_matrix(w))
+        permuted, _ = eigen(ratio_matrix(w[perm]))
         np.testing.assert_allclose(permuted.w, base.w[perm], atol=1e-9)
 
     @given(
@@ -183,23 +194,26 @@ class TestPrincipalEigenvector:
             for j in range(i + 1, n):
                 v = next(it)
                 a[i, j], a[j, i] = v, 1.0 / v
-        _, lam = principal_eigenvector(PairwiseMatrix(tuple("abcde"[:n]), a))
+        _, lam = eigen(PairwiseMatrix(tuple("abcde"[:n]), a))
         assert lam >= n - 1e-6
 
 
 class TestConsistencyIndex:
     def test_lambda_equals_n_gives_zero(self):
         for n in (2, 5, 10):
-            assert consistency_index(float(n), n) == 0.0
+            p = PairwiseMatrix(tuple("abcdefghij"[:n]), np.ones((n, n)))
+            assert evaluate_consistency(p)[1].ci == 0.0
 
     def test_direct_evaluation(self):
-        assert consistency_index(4.37, 4) == pytest.approx(0.1233333333, abs=1e-9)
+        # CI = (lambda_max - n) / (n - 1)
+        _, report = evaluate_consistency(PairwiseMatrix(tuple("WXYZ"), CLAMPED_4X4))
+        assert report.ci == (report.lambda_max - 4) / 3
+        assert report.ci == pytest.approx(0.3657531, abs=1e-6)
 
     def test_oracle_example(self):
-        assert consistency_index(3.0092027127, 3) == pytest.approx(0.0046013564, abs=1e-9)
-
-    def test_small_n_convention(self):
-        assert consistency_index(5.0, 1) == 0.0
+        _, report = evaluate_consistency(PairwiseMatrix(("a", "b", "c"), ORACLE_3X3))
+        assert report.lambda_max == pytest.approx(3.0092027127, abs=1e-9)
+        assert report.ci == pytest.approx(0.0046013564, abs=1e-9)
 
 
 class TestRandomIndex:
@@ -208,12 +222,7 @@ class TestRandomIndex:
         [(1, 0.0), (2, 0.0), (3, 0.58), (4, 0.90), (5, 1.12), (10, 1.49), (15, 1.59)],
     )
     def test_table(self, n, expected):
-        assert random_index(n) == expected
-
-    @pytest.mark.parametrize("n", [0, -1])
-    def test_out_of_table(self, n):
-        with pytest.raises(InputError):
-            random_index(n)
+        assert _random_index(n) == expected
 
     @staticmethod
     def fit(n):
@@ -222,11 +231,11 @@ class TestRandomIndex:
 
     def test_fit_tracks_table(self):
         for n in range(4, 16):
-            assert abs(self.fit(n) - random_index(n)) <= 0.02
+            assert abs(self.fit(n) - _random_index(n)) <= 0.02
 
     @pytest.mark.parametrize("n", [16, 24, 100])
     def test_fit_past_table(self, n):
-        assert random_index(n) == self.fit(n)
+        assert _random_index(n) == self.fit(n)
 
     def test_monte_carlo_agrees_with_fit_at_16(self):
         # mean CI of 1000 random reciprocal matrices with entries drawn from
@@ -241,25 +250,33 @@ class TestRandomIndex:
         a[:, iu, ju] = upper
         a[:, ju, iu] = 1 / upper
         lam = np.linalg.eigvals(a).real.max(axis=1)
-        assert abs(((lam - n) / (n - 1)).mean() - random_index(n)) <= 0.02
+        assert abs(((lam - n) / (n - 1)).mean() - _random_index(n)) <= 0.02
 
 
 class TestConsistencyRatio:
     def test_zero_ci(self):
-        assert consistency_ratio(0.0, 7) == 0.0
+        p = PairwiseMatrix(tuple("abcdefg"), np.ones((7, 7)))
+        _, report = evaluate_consistency(p)
+        assert (report.ci, report.cr) == (0.0, 0.0)
 
     def test_failing_ratio(self):
-        cr = consistency_ratio(0.12333, 4)
-        assert cr == pytest.approx(0.137, abs=1e-3)
-        assert cr > 0.1
+        _, report = evaluate_consistency(PairwiseMatrix(tuple("WXYZ"), CLAMPED_4X4))
+        assert report.ri == 0.90
+        assert report.cr == report.ci / 0.90
+        assert report.cr == pytest.approx(0.406392, abs=1e-6)
+        assert report.cr > 0.1
 
     def test_passing_ratio(self):
-        cr = consistency_ratio(0.0045, 3)
-        assert cr == pytest.approx(0.0078, abs=1e-4)
-        assert cr <= 0.1
+        _, report = evaluate_consistency(PairwiseMatrix(("a", "b", "c"), ORACLE_3X3))
+        assert report.cr == report.ci / 0.58
+        assert report.cr == pytest.approx(0.0079334, abs=1e-7)
+        assert report.cr <= 0.1
 
     def test_n_two_always_consistent(self):
-        assert consistency_ratio(0.5, 2) == 0.0
+        # RI(2) is 0: CR is defined as 0 there, not CI / 0
+        p = PairwiseMatrix(("a", "b"), np.array([[1.0, 9.0], [1 / 9, 1.0]]))
+        _, report = evaluate_consistency(p)
+        assert (report.ri, report.cr) == (0.0, 0.0)
 
 
 class TestConsistentRoundTrip:
@@ -290,7 +307,7 @@ class TestConsistentRoundTrip:
             s = category_means(travel_matrix)
         else:
             s = scores(0.5, 1.5, 2.5)
-            assert principal_eigenvector(build_pairwise(s))[1] < 3
+            assert eigen(build_pairwise(s))[1] < 3
         _, report = evaluate_consistency(build_pairwise(s))
         assert report.ci == 0.0
         assert math.copysign(1, report.ci) == 1

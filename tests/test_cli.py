@@ -10,7 +10,7 @@ import sys
 import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tourrank
@@ -578,6 +578,10 @@ def test_bad_delimiter_is_reported_before_any_file_is_opened(
         )
 
 
+_CONTROL = (
+    "error: alternative names must not hold control characters or line separators\n"
+)
+
 #: case -> (input text, names-config text or None, the whole of stderr)
 BAD_NAMES = {
     "repeated-header": (
@@ -589,6 +593,13 @@ BAD_NAMES = {
     "blank-header": (
         "id,a,\nr1,1,2\n", None, "error: alternative names must be non-empty\n"
     ),
+    # unchecked, the quoted newline would print a forged table row,
+    # "FAKE  1.0000 ...", and the escape sequence would reach the terminal
+    "header-forges-a-row": (
+        'id,"a\nFAKE  1.0000",b,"c\x1b[31mred"\nr1,1,2,3\n', None, _CONTROL
+    ),
+    "config-holds-escape": ("id,a,b\nr1,1,2\n", "1=a\x1b[31mred\n", _CONTROL),
+    "config-holds-line-separator": ("id,a,b\nr1,1,2\n", "2=b\u2028c\n", _CONTROL),
 }
 
 
@@ -727,7 +738,9 @@ def csv_bytes(draw, delimiter):
     if draw(st.booleans()):
         row |= st.lists(cell, max_size=6)
     rows = draw(st.lists(row, max_size=6))
-    header = [f"c{i}" for i in range(width)]
+    # a header cell may hold anything a rating cell may: quotes, newlines, NUL
+    hostile = st.sampled_from(FUZZ_RATINGS + FUZZ_CELLS) | st.text(max_size=3)
+    header = [draw(st.just(f"c{i}") | hostile) for i in range(width)]
     end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     text = "".join(delimiter.join(r) + end for r in [header, *rows])
     tail = draw(st.binary(max_size=2)) if draw(st.integers(0, 7)) == 0 else b""
@@ -747,6 +760,9 @@ def cli_cases(draw):
 
 
 @given(cli_cases())
+@example(  # unchecked, this header would print a forged row "FAKE  1.0000 ..."
+    ("rank", ",", ["--method=manual"], b'id,"a\nFAKE  1.0000",b,c\nr1,1,2,3\n', None)
+)
 @settings(max_examples=300, deadline=None)
 def test_no_input_escapes_the_exit_codes(case):
     # the CLI contract: every input ends in exit 0, 1 or 2 with no traceback;
@@ -770,3 +786,12 @@ def test_no_input_escapes_the_exit_codes(case):
     assert len(errors) == (code == 1)
     if code == 1:
         assert out.getvalue() == ""
+    formats = [f for f in flags if f.startswith("--format=")] or ["--format=table"]
+    if code != 1 and command == "rank" and formats[-1] == "--format=table":
+        # a name cannot add a line: each table is its header lines, then
+        # one line per rating column of the file
+        text = io.StringIO(data.decode("utf-8"), newline="")
+        n = len(next(csv.reader(text, delimiter=delimiter))) - 1
+        for table in out.getvalue().rstrip("\n").split("\n\n"):
+            lines = table.split("\n")
+            assert lines[-n - 1].startswith("rank  alternative"), table

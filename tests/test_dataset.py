@@ -430,6 +430,8 @@ _BAD_NAMES = {
     "str": ("ab", "must be a sequence of names, not a str"),
     "repeated": (("a", "a"), "alternative names must be unique"),
     "empty": (("a", ""), "alternative names must be non-empty"),
+    "control": (("a", "b\tc"), "must not hold control characters"),
+    "line-separator": (("a\u2028b", "c"), "must not hold control characters"),
     "single": (("a",), "need at least 2 alternatives, got 1"),
     "not-iterable": (5, "must be a sequence of str"),
     "unhashable": ([["a"], ["b"]], "must be a sequence of str"),
